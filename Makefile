@@ -8,7 +8,7 @@ FUZZTIME ?= 10s
 TRACE_FILE ?= /tmp/thoth-trace-smoke.jsonl
 FLIGHT_DIR ?= /tmp/thoth-flight-smoke
 
-.PHONY: ci vet build test race crashfuzz scheme-diff parallel-diff persist-diff pool-diff trace-smoke metrics-smoke load-smoke obs-smoke bench-alloc bench-json fuzz-smoke fuzz-parallel-smoke fuzz-persist-smoke sweep-1000
+.PHONY: ci vet build test race crashfuzz scheme-diff parallel-diff persist-diff pool-diff trace-smoke metrics-smoke load-smoke obs-smoke bench-alloc bench-json fuzz-smoke fuzz-parallel-smoke fuzz-persist-smoke fuzz-bitpack-smoke sweep-1000
 
 ci: vet build test race crashfuzz scheme-diff parallel-diff persist-diff pool-diff trace-smoke metrics-smoke load-smoke obs-smoke bench-alloc bench-json
 
@@ -115,14 +115,17 @@ obs-smoke:
 # Prove the zero-allocation hot paths stay that way: the disabled-tracer
 # emit, the steady-state secure read, histogram Observe, the
 # tracer-to-metrics adapter, the span-attribution charge path (enabled
-# AND nil-span disabled) and the flight recorder's Emit must all report
+# AND nil-span disabled), the flight recorder's Emit and the bit-field
+# codec's callers (PUB block pack/unpack, counter bump) must all report
 # 0 allocs/op (the matching Test*ZeroAlloc funcs assert the 0; the
-# benchmarks report it).
+# benchmarks report it; the codec's per-op figures are the micro/pub_*
+# and micro/ctr_bump rows of bench-json).
 bench-alloc:
 	$(GO) test ./internal/core -run 'TestTracerDisabledZeroAlloc|TestReadHitZeroAlloc' -bench 'BenchmarkTracerDisabled|BenchmarkReadHit' -benchtime 10000x
 	$(GO) test ./internal/metrics -run 'TestObserveZeroAlloc|TestFromTracerZeroAlloc' -bench 'BenchmarkHistogramObserve|BenchmarkFromTracer' -benchtime 100000x
 	$(GO) test ./internal/loadgen -run TestGenOpZeroAlloc -bench BenchmarkGenOp -benchtime 100000x
 	$(GO) test ./internal/obs -run 'TestSpanRecordZeroAlloc|TestSpanDisabledZeroAlloc|TestFlightEmitZeroAlloc' -bench BenchmarkSpanRecord -benchtime 100000x
+	$(GO) test ./internal/bitpack -run TestCodecZeroAlloc -count=1
 
 # Benchmark-regression gate: re-measure the suite and compare against
 # the committed baseline (fails on >15% ns/op or ANY allocs/op
@@ -147,6 +150,11 @@ fuzz-parallel-smoke:
 # steers crash index, batch depth and mid-batch split.
 fuzz-persist-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzPersistPipeline -fuzztime=$(FUZZTIME) ./internal/crashfuzz
+
+# Same, for the word-wise bit-field codec against its bit-at-a-time
+# reference: any field on any slice must read and write identically.
+fuzz-bitpack-smoke:
+	$(GO) test -run=NONE -fuzz=FuzzGetSet -fuzztime=$(FUZZTIME) ./internal/bitpack
 
 # The acceptance-criteria sweep (slower; not part of `ci`).
 sweep-1000:

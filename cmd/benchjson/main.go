@@ -5,7 +5,8 @@
 //
 //   - micro: the controller hot paths (steady-state secure read and
 //     persist), their dominant primitives (keyed MAC, counter-mode
-//     pad XOR, PUB entry bit-packing), the observability hot paths
+//     pad XOR, PUB entry bit-packing and unpacking, the split-counter
+//     minor bump), the observability hot paths
 //     (histogram Observe, the tracer-to-metrics adapter) and the load
 //     generator's per-op tick. These carry
 //     the zero-allocation guarantee: allocs/op is part of the baseline
@@ -35,6 +36,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/crypt"
+	"repro/internal/ctr"
 	"repro/internal/engine"
 	"repro/internal/harness"
 	"repro/internal/loadgen"
@@ -129,7 +131,6 @@ func suite() []bench {
 			}
 		}},
 		{"micro/persist_steady", benchPersistScheme(config.ThothWTSC)},
-		{"micro/persist_scheme_wtsc", benchPersistScheme(config.ThothWTSC)},
 		{"micro/persist_scheme_triad", benchPersistScheme(config.TriadRelaxed(64))},
 		{"micro/crypt_mac", func(b *testing.B) {
 			e := crypt.NewEngine(1)
@@ -160,6 +161,28 @@ func suite() []bench {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				pub.PackBlockInto(out, entries)
+			}
+		}},
+		{"micro/pub_unpack", func(b *testing.B) {
+			cfg := config.Default()
+			block := make([]byte, cfg.BlockSize)
+			dst := make([]pub.Entry, 0, cfg.PartialsPerBlock())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dst = pub.UnpackBlockAppend(dst[:0], len(block), block)
+			}
+		}},
+		{"micro/ctr_bump", func(b *testing.B) {
+			// Round-robin over every minor slot of one counter block, so
+			// the page-wide overflow reset is included at its natural
+			// rate (once per 128 bumps of each slot).
+			block := make([]byte, config.Default().BlockSize)
+			slots := ctr.MaxSlots(len(block))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ctr.Bump(block, i%slots)
 			}
 		}},
 		{"micro/metrics_observe", func(b *testing.B) {
