@@ -15,8 +15,8 @@ import (
 )
 
 // loadGoldenRuns is the fixed set of CLI invocations the load golden
-// pins: every matrix scenario through one controller, plus one pooled
-// variant. Each run carries -check, so the golden also proves the
+// pins: every matrix scenario through one controller, one pooled
+// variant, and the -attr stage breakdown on both kinds of target. Each run carries -check, so the golden also proves the
 // histogram percentiles match the exact trace recomputation.
 func loadGoldenRuns() [][]string {
 	base := func(name string) []string {
@@ -29,6 +29,10 @@ func loadGoldenRuns() [][]string {
 	}
 	runs = append(runs, []string{"load", "-scenario", "steady", "-tenants", "4",
 		"-shards", "2", "-ops", "160", "-pub", "64", "-check"})
+	// Per-stage attribution through one controller and through a pool.
+	attr := []string{"load", "-scenario", "burst", "-tenants", "4", "-ops", "160",
+		"-pub", "64", "-attr", "-check"}
+	runs = append(runs, attr, append(append([]string{}, attr...), "-shards", "4"))
 	return runs
 }
 
