@@ -8,9 +8,9 @@ FUZZTIME ?= 10s
 TRACE_FILE ?= /tmp/thoth-trace-smoke.jsonl
 FLIGHT_DIR ?= /tmp/thoth-flight-smoke
 
-.PHONY: ci vet build test race crashfuzz scheme-diff parallel-diff persist-diff pool-diff trace-smoke metrics-smoke load-smoke obs-smoke bench-alloc bench-json fuzz-smoke fuzz-parallel-smoke fuzz-persist-smoke fuzz-bitpack-smoke sweep-1000
+.PHONY: ci vet build test race crashfuzz scheme-diff parallel-diff persist-diff pool-diff trace-smoke metrics-smoke load-smoke obs-smoke bench-alloc bench-json perfbench-check fuzz-smoke fuzz-parallel-smoke fuzz-persist-smoke fuzz-bitpack-smoke sweep-1000
 
-ci: vet build test race crashfuzz scheme-diff parallel-diff persist-diff pool-diff trace-smoke metrics-smoke load-smoke obs-smoke bench-alloc bench-json
+ci: vet build test race crashfuzz scheme-diff parallel-diff persist-diff pool-diff trace-smoke metrics-smoke load-smoke obs-smoke bench-alloc bench-json perfbench-check
 
 vet:
 	$(GO) vet ./...
@@ -137,6 +137,12 @@ ifeq ($(BENCH_UPDATE),1)
 else
 	$(GO) run ./cmd/benchjson -compare BENCH.json
 endif
+
+# The repository benchmark (perfbench/) is its own Go module, so the
+# vet/build/test lanes above never compile it; vet and test it here so a
+# change to an API it imports fails the gate instead of the benchmark.
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test -count=1 .
 
 # Short coverage-guided fuzz session over the checked-in corpus.
 fuzz-smoke:

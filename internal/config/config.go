@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"repro/internal/metrics"
+	"repro/internal/nvm"
 	"repro/internal/obs"
 )
 
@@ -405,7 +406,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: scheme %v carries a stray epoch %d", c.Scheme, c.Scheme.epoch)
 	case c.PCBAfterWPQ && !c.Scheme.IsThoth():
 		return fmt.Errorf("config: PCBAfterWPQ requires a Thoth scheme (got %v); the %v persist path has no PCB", c.Scheme, c.Scheme)
-	case c.BlockSize != 64 && c.BlockSize != 128 && c.BlockSize != 256:
+	case !nvm.ValidBlockSize(c.BlockSize):
 		return fmt.Errorf("config: block size %d not in {64,128,256}", c.BlockSize)
 	case c.TxSize <= 0:
 		return fmt.Errorf("config: transaction size %d must be positive", c.TxSize)
@@ -415,6 +416,8 @@ func (c Config) Validate() error {
 		return errors.New("config: core count must be positive")
 	case c.MemBytes <= 0:
 		return errors.New("config: memory size must be positive")
+	case c.MemBytes > nvm.MaxCapacity:
+		return fmt.Errorf("config: memory size %d exceeds the %d-byte module bound", c.MemBytes, nvm.MaxCapacity)
 	case c.ReadLatencyNS <= 0 || c.WriteLatencyNS <= 0:
 		return errors.New("config: NVM latencies must be positive")
 	case c.NVMBanks <= 0:

@@ -82,6 +82,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"zero freq", func(c *Config) { c.CPUFreqGHz = 0 }},
 		{"zero cores", func(c *Config) { c.Cores = 0 }},
 		{"zero memory", func(c *Config) { c.MemBytes = 0 }},
+		{"memory over module bound", func(c *Config) { c.MemBytes = 64 << 30 }},
 		{"zero read latency", func(c *Config) { c.ReadLatencyNS = 0 }},
 		{"zero WPQ", func(c *Config) { c.WPQEntries = 0 }},
 		{"PCB >= WPQ", func(c *Config) { c.PCBEntries = c.WPQEntries }},

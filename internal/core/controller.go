@@ -87,7 +87,7 @@ type Controller struct {
 	// Crash/Shutdown callers and dumped to JSONL alongside the crash
 	// image. Emitting into it copies a flat Event under a mutex — no
 	// allocation, so the disabled-tracer hot path stays 0 allocs/op.
-	flight *obs.FlightRecorder
+	flight *obs.Ring
 
 	// span, when non-nil, receives per-stage latency attribution for
 	// every timed operation: persistBlock and ReadBlock charge each
@@ -210,7 +210,7 @@ func attach(cfg config.Config, lay *layout.Layout, dev *nvm.Device) (*Controller
 
 		tr:        cfg.Tracer,
 		schemeTag: cfg.Scheme.String(),
-		flight:    obs.NewFlightRecorder(0),
+		flight:    obs.NewRing(obs.DefaultFlightEvents),
 
 		readBuf: make([]byte, cfg.BlockSize),
 		ctBuf:   make([]byte, cfg.BlockSize),
@@ -340,8 +340,9 @@ func dirtyAux(dirty bool) int64 {
 // is disabled).
 func (c *Controller) Tracer() obs.Tracer { return c.tr }
 
-// Flight returns the controller's always-on flight recorder.
-func (c *Controller) Flight() *obs.FlightRecorder { return c.flight }
+// Crashed reports whether the controller has crashed or shut down: its
+// volatile state is gone and only recovery may touch the device.
+func (c *Controller) Crashed() bool { return c.crashed }
 
 // FlightRecord snapshots the flight recorder: the retained event tail,
 // frozen. Crash paths call this after Crash/Shutdown so the dump

@@ -38,14 +38,15 @@ import (
 	"repro/internal/stats"
 )
 
-// Sentinel errors, shared with the public thoth package (which aliases
-// them so errors.Is works uniformly across System and Pool).
+// Sentinel errors, shared with the byte-range port and the public thoth
+// package (which alias them so errors.Is works uniformly across System
+// and Pool).
 var (
 	// ErrCrashed reports an operation on a pool that has crashed or shut
 	// down.
-	ErrCrashed = errors.New("thoth: system has crashed")
+	ErrCrashed = core.ErrCrashed
 	// ErrOutOfRange reports an access outside the protected data region.
-	ErrOutOfRange = errors.New("thoth: access outside data region")
+	ErrOutOfRange = core.ErrOutOfRange
 )
 
 // MaxShards bounds the shard count; beyond this the per-shard controller
@@ -76,8 +77,6 @@ const (
 	opVerify
 	opCrash
 	opShutdown
-	opTimedWrite // opWrite with an arrival cycle and a completion result
-	opTimedRead  // opRead with an arrival cycle and a completion result
 )
 
 // req is one unit of work mailed to a shard worker. The worker fills the
@@ -92,31 +91,31 @@ type req struct {
 
 	batch []core.WriteReq // opBatch: translated, DataBase-rebased requests
 
-	arrival int64 // opTimed*: modeled arrival cycle of the op
+	arrival int64 // opWrite / opRead: modeled arrival cycle of the op
 
-	// span, when non-nil on an opTimed* request, receives the segment's
-	// per-stage latency attribution: the shard charges the mailbox wait
-	// (arrival → service start) to SpanQueue and installs the span on
-	// its controller for the service itself, so the segment's stage
-	// cycles sum exactly to done − arrival.
+	// span, when non-nil on an opWrite / opRead request, receives the
+	// segment's per-stage latency attribution: the shard's port charges
+	// the mailbox wait (arrival → service start) to SpanQueue and the
+	// controller charges the service, so the segment's stage cycles sum
+	// exactly to done − arrival.
 	span *obs.Span
 
 	wg *sync.WaitGroup
 
 	// Results.
 	err    error
-	done   int64           // opTimed*: completion cycle of the segment
-	stats  stats.Stats     // opStats
-	dev    *nvm.Device     // opCrash / opShutdown
+	done   int64            // opWrite / opRead: completion cycle of the segment
+	stats  stats.Stats      // opStats
+	dev    *nvm.Device      // opCrash / opShutdown
 	flight obs.FlightRecord // opCrash / opShutdown: the shard's black box
 }
 
-// shard is one controller partition: a goroutine owning ctl and now,
-// reading requests from mail until it is closed.
+// shard is one controller partition: a goroutine owning the port (the
+// controller and its modeled clock), reading requests from mail until
+// it is closed.
 type shard struct {
 	idx  int
-	ctl  *core.Controller
-	now  int64
+	port *core.Port
 	mail chan *req
 	done chan struct{}
 
@@ -176,7 +175,7 @@ func newPool(cfg config.Config, shards int, attach func(scfg config.Config, i in
 	}
 	if cfg.Tracer != nil {
 		// Shard workers emit concurrently; serialize for plain tracers.
-		lt := &lockedTracer{t: cfg.Tracer}
+		lt := obs.Locked(cfg.Tracer)
 		cfg.Tracer = lt
 		scfg.Tracer = lt
 	}
@@ -206,7 +205,7 @@ func newPool(cfg config.Config, shards int, attach func(scfg config.Config, i in
 		}
 		sh := &shard{
 			idx:  i,
-			ctl:  ctl,
+			port: core.NewPort(ctl),
 			mail: make(chan *req, mailboxDepth),
 			done: make(chan struct{}),
 		}
@@ -321,34 +320,24 @@ func (p *Pool) segment(addr int64, n int, fn func(shard int, local, off, length 
 // Write persists data at the given pool offset: encrypted, MACed, bound
 // into the owning shard's integrity tree, crash-consistent per the
 // configured scheme. Segments on distinct shards persist concurrently;
-// each shard applies its segments in submission order.
+// each shard applies its segments in submission order. It is WriteArrive
+// at cycle 0, which never holds a shard clock back.
 func (p *Pool) Write(addr int64, data []byte) error {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if err := p.checkRange(addr, len(data)); err != nil {
-		return err
-	}
-	var rs []*req
-	p.segment(addr, len(data), func(sh int, local, off, length int64) {
-		rs = append(rs, &req{kind: opWrite, shard: sh, addr: local, data: data[off : off+length]})
-	})
-	return p.dispatch(rs)
+	_, err := p.WriteArrive(0, addr, data, nil)
+	return err
 }
 
 // Read returns n bytes from the given pool offset, decrypting and
 // verifying every covered block on its owning shard.
 func (p *Pool) Read(addr int64, n int) ([]byte, error) {
 	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if err := p.checkRange(addr, n); err != nil {
+	err := p.checkRange(addr, n)
+	p.mu.RUnlock()
+	if err != nil {
 		return nil, err
 	}
 	out := make([]byte, n)
-	var rs []*req
-	p.segment(addr, n, func(sh int, local, off, length int64) {
-		rs = append(rs, &req{kind: opRead, shard: sh, addr: local, data: out[off : off+length]})
-	})
-	if err := p.dispatch(rs); err != nil {
+	if _, err := p.ReadArrive(0, addr, out, nil); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -457,7 +446,7 @@ func (p *Pool) Elapsed() (int64, error) {
 // SchemeInfo reports the persistence scheme the shards run under (all
 // shards share one configuration).
 func (p *Pool) SchemeInfo() scheme.Info {
-	return p.shards[0].ctl.SchemeInfo()
+	return p.shards[0].port.Controller().SchemeInfo()
 }
 
 // VerifyCrashConsistency checks every shard's crash-recoverability
@@ -562,9 +551,6 @@ func (s *shard) handle(r *req) {
 	defer func() {
 		if v := recover(); v != nil {
 			r.err = fmt.Errorf("engine: shard %d: panic: %v", s.idx, v)
-			// A panic mid-service may leave a request span installed on
-			// the controller; never let it leak into later ops.
-			s.ctl.SetSpan(nil)
 		}
 	}()
 	if s.mOps != nil {
@@ -575,135 +561,34 @@ func (s *shard) handle(r *req) {
 	}
 	switch r.kind {
 	case opWrite:
-		s.write(r.addr, r.data)
+		r.done, r.err = s.port.Write(r.arrival, r.addr, r.data, r.span)
+		if s.mBlocks != nil {
+			bs := int64(s.port.BlockSize())
+			s.mBlocks.Add((r.addr+int64(len(r.data))+bs-1)/bs - r.addr/bs)
+		}
 	case opRead:
-		s.read(r.addr, r.data)
-	case opTimedWrite:
-		// An idle shard's clock advances to the arrival; a backlogged
-		// shard queues the op behind the work already accepted.
-		if r.arrival > s.now {
-			s.now = r.arrival
-		}
-		s.beginSpan(r)
-		s.write(r.addr, r.data)
-		s.endSpan(r)
-		r.done = s.now
-	case opTimedRead:
-		if r.arrival > s.now {
-			s.now = r.arrival
-		}
-		s.beginSpan(r)
-		s.read(r.addr, r.data)
-		s.endSpan(r)
-		r.done = s.now
+		r.done, r.err = s.port.Read(r.arrival, r.addr, r.data, r.span)
 	case opBatch:
-		s.now = s.ctl.PersistBatch(s.now, r.batch)
+		s.port.PersistBatch(r.batch)
 		if s.mBlocks != nil {
 			s.mBlocks.Add(int64(len(r.batch)))
 		}
 	case opStats:
-		s.ctl.SyncStats()
-		snap := *s.ctl.Stats()
-		snap.Cycles = s.now
-		r.stats = snap
+		r.stats = s.port.Stats()
 	case opVerify:
-		r.err = s.ctl.VerifyCrashConsistency()
+		r.err = s.port.Controller().VerifyCrashConsistency()
 	case opCrash:
-		r.err = s.ctl.Crash(s.now)
-		r.dev = s.ctl.Device()
+		r.err = s.port.Crash()
+		r.dev = s.port.Controller().Device()
 		// Snapshot after the crash so the black box includes the ADR
 		// flush events of the crash sequence itself.
-		r.flight = s.ctl.FlightRecord()
+		r.flight = s.port.Controller().FlightRecord()
 	case opShutdown:
-		s.now, r.err = s.ctl.Shutdown(s.now)
-		r.dev = s.ctl.Device()
-		r.flight = s.ctl.FlightRecord()
+		r.err = s.port.Shutdown()
+		r.dev = s.port.Controller().Device()
+		r.flight = s.port.Controller().FlightRecord()
 	}
 	if s.mCycles != nil {
-		s.mCycles.Set(s.now)
+		s.mCycles.Set(s.port.Now())
 	}
-}
-
-// beginSpan charges an opTimed* request's mailbox wait (arrival →
-// service start) to SpanQueue and installs its span on the controller
-// for the service; endSpan uninstalls it. Both are no-ops without a
-// span, so the disabled path costs one branch.
-func (s *shard) beginSpan(r *req) {
-	if r.span == nil {
-		return
-	}
-	r.span.Add(obs.SpanQueue, s.now-r.arrival)
-	s.ctl.SetSpan(r.span)
-}
-
-func (s *shard) endSpan(r *req) {
-	if r.span == nil {
-		return
-	}
-	s.ctl.SetSpan(nil)
-}
-
-// write applies one segment (confined to a single metadata group) with
-// exactly the per-block read-modify-write protocol of a plain System —
-// the one-shard differential test holds the two byte-identical.
-func (s *shard) write(addr int64, data []byte) {
-	lay := s.ctl.Layout()
-	bs := int64(s.ctl.Device().BlockSize())
-	base := lay.DataBase
-	blocks := int64(0)
-	for off := int64(0); off < int64(len(data)); {
-		blk := (addr + off) / bs * bs
-		lo := (addr + off) - blk
-		n := bs - lo
-		if rem := int64(len(data)) - off; n > rem {
-			n = rem
-		}
-		var block []byte
-		if lo == 0 && n == bs {
-			block = data[off : off+n]
-		} else {
-			done, cur := s.ctl.ReadBlockAllowEmpty(s.now, base+blk)
-			s.now = done
-			copy(cur[lo:lo+n], data[off:off+n])
-			block = cur
-		}
-		s.now = s.ctl.PersistBlock(s.now, base+blk, block)
-		off += n
-		blocks++
-	}
-	if s.mBlocks != nil {
-		s.mBlocks.Add(blocks)
-	}
-}
-
-// read fills dst from the shard's slice starting at the local offset.
-func (s *shard) read(addr int64, dst []byte) {
-	bs := int64(s.ctl.Device().BlockSize())
-	base := s.ctl.Layout().DataBase
-	for off := int64(0); off < int64(len(dst)); {
-		blk := (addr + off) / bs * bs
-		lo := (addr + off) - blk
-		take := bs - lo
-		if rem := int64(len(dst)) - off; take > rem {
-			take = rem
-		}
-		done, block := s.ctl.ReadBlockAllowEmpty(s.now, base+blk)
-		s.now = done
-		copy(dst[off:off+take], block[lo:lo+take])
-		off += take
-	}
-}
-
-// lockedTracer serializes Emit calls issued by concurrent shard workers
-// so plain (non-concurrency-safe) tracers can observe a pool.
-type lockedTracer struct {
-	mu sync.Mutex
-	t  obs.Tracer
-}
-
-// Emit forwards one event under the lock.
-func (l *lockedTracer) Emit(e obs.Event) {
-	l.mu.Lock()
-	l.t.Emit(e)
-	l.mu.Unlock()
 }

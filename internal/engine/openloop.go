@@ -1,10 +1,11 @@
 package engine
 
 // The open-loop request path: WriteArrive and ReadArrive are Write and
-// Read with a modeled arrival cycle attached. A shard whose clock is
-// behind an op's arrival was idle when the op arrived, so its clock
-// jumps forward to the arrival before servicing; a shard whose clock is
-// ahead is backlogged, and the op queues behind the work in front of it.
+// Read with a modeled arrival cycle and an optional span attached. A
+// shard whose clock is behind an op's arrival was idle when the op
+// arrived, so its clock jumps forward to the arrival before servicing; a
+// shard whose clock is ahead is backlogged, and the op queues behind the
+// work in front of it.
 // The returned completion cycle therefore embeds the open-loop latency
 // (completion − arrival = queueing delay + service), which is what
 // internal/loadgen feeds into the metrics histograms. Requests spanning
@@ -20,58 +21,37 @@ import (
 // arriving at the given cycle. It returns the op's completion cycle: the
 // latest completion across its shard segments, each serviced no earlier
 // than the arrival and no earlier than the shard's prior backlog.
-func (p *Pool) WriteArrive(arrival, addr int64, data []byte) (int64, error) {
-	return p.WriteArriveSpan(arrival, addr, data, nil)
-}
-
-// WriteArriveSpan is WriteArrive with per-stage latency attribution:
-// when span is non-nil it receives the stage decomposition of the op's
+//
+// When span is non-nil it receives the stage decomposition of the op's
 // critical segment — the one whose completion defines the op's — so the
-// stage cycles sum exactly to completion − arrival. A nil span is
-// exactly WriteArrive (no charging, no allocation).
-func (p *Pool) WriteArriveSpan(arrival, addr int64, data []byte, span *obs.Span) (int64, error) {
-	if arrival < 0 {
-		return 0, fmt.Errorf("engine: negative arrival cycle %d", arrival)
-	}
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if err := p.checkRange(addr, len(data)); err != nil {
-		return 0, err
-	}
-	var rs []*req
-	p.segment(addr, len(data), func(sh int, local, off, length int64) {
-		rs = append(rs, &req{kind: opTimedWrite, shard: sh, arrival: arrival,
-			addr: local, data: data[off : off+length]})
-	})
-	attachSpans(rs, span)
-	if err := p.dispatch(rs); err != nil {
-		return 0, err
-	}
-	return settleSpans(rs, span), nil
+// stage cycles sum exactly to completion − arrival. A nil span costs
+// nothing (no charging, no allocation).
+func (p *Pool) WriteArrive(arrival, addr int64, data []byte, span *obs.Span) (int64, error) {
+	return p.arrive(opWrite, arrival, addr, data, span)
 }
 
 // ReadArrive fills dst from the given pool offset, modeling the op as
-// arriving at the given cycle; see WriteArrive for the completion
-// semantics.
-func (p *Pool) ReadArrive(arrival, addr int64, dst []byte) (int64, error) {
-	return p.ReadArriveSpan(arrival, addr, dst, nil)
+// arriving at the given cycle; see WriteArrive for the completion and
+// span semantics.
+func (p *Pool) ReadArrive(arrival, addr int64, dst []byte, span *obs.Span) (int64, error) {
+	return p.arrive(opRead, arrival, addr, dst, span)
 }
 
-// ReadArriveSpan is ReadArrive with per-stage latency attribution; see
-// WriteArriveSpan.
-func (p *Pool) ReadArriveSpan(arrival, addr int64, dst []byte, span *obs.Span) (int64, error) {
+// arrive splits one timed op at group boundaries, mails the segments to
+// their shards, and settles the completion cycle and span.
+func (p *Pool) arrive(kind opKind, arrival, addr int64, buf []byte, span *obs.Span) (int64, error) {
 	if arrival < 0 {
 		return 0, fmt.Errorf("engine: negative arrival cycle %d", arrival)
 	}
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	if err := p.checkRange(addr, len(dst)); err != nil {
+	if err := p.checkRange(addr, len(buf)); err != nil {
 		return 0, err
 	}
 	var rs []*req
-	p.segment(addr, len(dst), func(sh int, local, off, length int64) {
-		rs = append(rs, &req{kind: opTimedRead, shard: sh, arrival: arrival,
-			addr: local, data: dst[off : off+length]})
+	p.segment(addr, len(buf), func(sh int, local, off, length int64) {
+		rs = append(rs, &req{kind: kind, shard: sh, arrival: arrival,
+			addr: local, data: buf[off : off+length]})
 	})
 	attachSpans(rs, span)
 	if err := p.dispatch(rs); err != nil {
@@ -82,14 +62,13 @@ func (p *Pool) ReadArriveSpan(arrival, addr int64, dst []byte, span *obs.Span) (
 
 // attachSpans wires the caller's span into a dispatched request set. A
 // single-segment op charges the caller's span directly (no allocation —
-// the common case for block-granular load); a multi-segment op gives
-// each segment a private span so the critical segment's decomposition
-// can be selected afterwards.
+// the common case for block-granular load; the shard's port resets it);
+// a multi-segment op gives each segment a private span so the critical
+// segment's decomposition can be selected afterwards.
 func attachSpans(rs []*req, span *obs.Span) {
 	if span == nil {
 		return
 	}
-	span.Reset()
 	if len(rs) == 1 {
 		rs[0].span = span
 		return

@@ -100,40 +100,3 @@ func TestAttributionConservationSweep(t *testing.T) {
 		}
 	}
 }
-
-// TestAttributionRequiresSpanTarget pins the fail-loud contract: a
-// target without span support is rejected at construction and at
-// SetTarget.
-func TestAttributionRequiresSpanTarget(t *testing.T) {
-	c := crashfuzz.DeriveCase(1)
-	cfg := c.ConfigFor(c.Schemes[0])
-	ctl, err := core.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tgt := loadgen.NewControllerTarget(ctl)
-	if _, err := loadgen.NewDriver(conservationScenario(1), plainTarget{tgt}, cfg, nil,
-		loadgen.Options{Attribution: true}); err == nil {
-		t.Fatal("NewDriver accepted a span-less target with Attribution on")
-	}
-	d, err := loadgen.NewDriver(conservationScenario(1), tgt, cfg, nil,
-		loadgen.Options{Attribution: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.SetTarget(plainTarget{tgt}); err == nil {
-		t.Fatal("SetTarget accepted a span-less target with Attribution on")
-	}
-}
-
-// plainTarget strips the SpanTarget methods off a real target.
-type plainTarget struct{ t *loadgen.ControllerTarget }
-
-func (p plainTarget) BlockSize() int  { return p.t.BlockSize() }
-func (p plainTarget) DataSize() int64 { return p.t.DataSize() }
-func (p plainTarget) Write(arrival, addr int64, data []byte) (int64, error) {
-	return p.t.Write(arrival, addr, data)
-}
-func (p plainTarget) Read(arrival, addr int64, dst []byte) (int64, error) {
-	return p.t.Read(arrival, addr, dst)
-}

@@ -132,7 +132,7 @@ func TestClosedLoopDifferentialTraces(t *testing.T) {
 					for j := range b {
 						b[j] = op.Fill ^ byte(j*7) ^ byte(op.Addr>>7)
 					}
-					if _, err := tgt.Write(0, op.Addr, b); err != nil {
+					if _, err := tgt.WriteSpan(0, op.Addr, b, nil); err != nil {
 						t.Fatalf("seed %d op %d: target write: %v", seed, i, err)
 					}
 					if err := sys.Write(op.Addr, b); err != nil {
@@ -140,7 +140,7 @@ func TestClosedLoopDifferentialTraces(t *testing.T) {
 					}
 				case crashfuzz.OpRead:
 					dst := make([]byte, op.Len)
-					if _, err := tgt.Read(0, op.Addr, dst); err != nil {
+					if _, err := tgt.ReadSpan(0, op.Addr, dst, nil); err != nil {
 						t.Fatalf("seed %d op %d: target read: %v", seed, i, err)
 					}
 					want, err := sys.Read(op.Addr, op.Len)

@@ -86,12 +86,11 @@ type Options struct {
 	// (Ops()), for replay through another driver or system.
 	CollectOps bool
 	// Attribution decomposes every op's latency into pipeline-stage
-	// cycles (queue, fetch, crypto, tree, wpq, persist) via the target's
-	// SpanTarget interface: per-stage thoth_op_stage_cycles histograms,
-	// plus the aggregate and per-tenant Attribution report. ExecOp
-	// enforces conservation — stage cycles must sum exactly to
-	// completion − arrival — and fails loudly on any leak. Requires a
-	// target implementing SpanTarget.
+	// cycles (queue, fetch, crypto, tree, wpq, persist) via the span the
+	// target charges: per-stage thoth_op_stage_cycles histograms, plus
+	// the aggregate and per-tenant Attribution report. ExecOp enforces
+	// conservation — stage cycles must sum exactly to completion −
+	// arrival — and fails loudly on any leak.
 	Attribution bool
 }
 
@@ -133,11 +132,11 @@ type Driver struct {
 	opsWrite  *metrics.Counter
 	gCycle    *metrics.Gauge
 
-	// Attribution state (Options.Attribution): the span-capable view of
-	// the target, the reusable per-op span, the per-stage histogram
-	// handles, and the aggregate stage totals.
-	spanTgt   SpanTarget
-	span      obs.Span
+	// Attribution state (Options.Attribution): the span passed to the
+	// target (&spanBuf, nil without attribution), the per-stage
+	// histogram handles, and the aggregate stage totals.
+	span      *obs.Span
+	spanBuf   obs.Span
 	histStage [obs.NumStages]*metrics.Histogram
 	stageAgg  [obs.NumStages]int64
 
@@ -212,11 +211,7 @@ func NewDriver(scn Scenario, tgt Target, cfg config.Config, reg *metrics.Registr
 	d.gCycle = reg.Gauge("thoth_loadgen_cycle",
 		"Latest modeled completion cycle observed by the load generator.")
 	if opts.Attribution {
-		st, ok := tgt.(SpanTarget)
-		if !ok {
-			return nil, fmt.Errorf("loadgen: Options.Attribution requires a SpanTarget, got %T", tgt)
-		}
-		d.spanTgt = st
+		d.span = &d.spanBuf
 		for _, stage := range obs.Stages() {
 			d.histStage[stage] = reg.Histogram("thoth_op_stage_cycles",
 				"Per-op cycles attributed to each pipeline stage (stages sum to op latency).",
@@ -331,11 +326,7 @@ func (d *Driver) ExecOp(op *Op) error {
 		if len(d.rbuf) < op.Len {
 			d.rbuf = make([]byte, op.Len)
 		}
-		if d.spanTgt != nil {
-			done, err = d.spanTgt.ReadSpan(op.Arrival, op.Addr, d.rbuf[:op.Len], &d.span)
-		} else {
-			done, err = d.tgt.Read(op.Arrival, op.Addr, d.rbuf[:op.Len])
-		}
+		done, err = d.tgt.ReadSpan(op.Arrival, op.Addr, d.rbuf[:op.Len], d.span)
 		if err != nil {
 			return fmt.Errorf("loadgen: tenant %d read [%d,+%d): %w", op.Tenant, op.Addr, op.Len, err)
 		}
@@ -347,11 +338,7 @@ func (d *Driver) ExecOp(op *Op) error {
 			d.wbuf = make([]byte, op.Len)
 		}
 		FillPayload(d.wbuf[:op.Len], op.Seq, op.Addr)
-		if d.spanTgt != nil {
-			done, err = d.spanTgt.WriteSpan(op.Arrival, op.Addr, d.wbuf[:op.Len], &d.span)
-		} else {
-			done, err = d.tgt.Write(op.Arrival, op.Addr, d.wbuf[:op.Len])
-		}
+		done, err = d.tgt.WriteSpan(op.Arrival, op.Addr, d.wbuf[:op.Len], d.span)
 		if err != nil {
 			return fmt.Errorf("loadgen: tenant %d write [%d,+%d): %w", op.Tenant, op.Addr, op.Len, err)
 		}
@@ -371,7 +358,7 @@ func (d *Driver) ExecOp(op *Op) error {
 	if lat < d.minLat {
 		d.minLat = lat
 	}
-	if d.spanTgt != nil {
+	if d.span != nil {
 		if got := d.span.Total(); got != lat {
 			return fmt.Errorf("loadgen: tenant %d %s [%d,+%d): stage cycles %d do not sum to latency %d (leak %d)",
 				op.Tenant, op.Kind, op.Addr, op.Len, got, lat, lat-got)
@@ -431,13 +418,6 @@ func (d *Driver) SetTarget(t Target) error {
 	if int64(t.BlockSize()) != d.bs || t.DataSize() != d.tgt.DataSize() {
 		return fmt.Errorf("loadgen: replacement target geometry %dB×%d differs from %dB×%d",
 			t.BlockSize(), t.DataSize(), d.bs, d.tgt.DataSize())
-	}
-	if d.opts.Attribution {
-		st, ok := t.(SpanTarget)
-		if !ok {
-			return fmt.Errorf("loadgen: Options.Attribution requires a SpanTarget, got %T", t)
-		}
-		d.spanTgt = st
 	}
 	d.tgt = t
 	return nil

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/obs"
 )
 
 // fakeTarget is a fixed-service-time target: completion = max(arrival,
@@ -32,11 +33,11 @@ func (f *fakeTarget) step(arrival int64) int64 {
 	return f.now
 }
 
-func (f *fakeTarget) Write(arrival, addr int64, data []byte) (int64, error) {
+func (f *fakeTarget) WriteSpan(arrival, addr int64, data []byte, _ *obs.Span) (int64, error) {
 	return f.step(arrival), nil
 }
 
-func (f *fakeTarget) Read(arrival, addr int64, dst []byte) (int64, error) {
+func (f *fakeTarget) ReadSpan(arrival, addr int64, dst []byte, _ *obs.Span) (int64, error) {
 	return f.step(arrival), nil
 }
 

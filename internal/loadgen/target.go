@@ -1,176 +1,69 @@
 package loadgen
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/stats"
 )
 
-// Target is the system a Driver generates traffic against. Write and
-// Read carry the op's modeled arrival cycle and return its completion
-// cycle: the service starts no earlier than the arrival (an idle target
-// advances its clock to it) and no earlier than the end of the work
-// queued ahead of it, so completion − arrival is the open-loop latency —
-// queueing delay plus service — that the driver feeds into the metrics
-// histograms.
+// Target is the system a Driver generates traffic against. WriteSpan
+// and ReadSpan carry the op's modeled arrival cycle and return its
+// completion cycle: the service starts no earlier than the arrival (an
+// idle target advances its clock to it) and no earlier than the end of
+// the work queued ahead of it, so completion − arrival is the open-loop
+// latency — queueing delay plus service — that the driver feeds into
+// the metrics histograms. A non-nil span is reset and charged with
+// every stage of the op's critical path, so the stage cycles sum
+// exactly to completion − arrival (the conservation property the
+// attribution tests pin); a nil span costs nothing.
 type Target interface {
 	BlockSize() int
 	DataSize() int64
-	Write(arrival, addr int64, data []byte) (int64, error)
-	Read(arrival, addr int64, dst []byte) (int64, error)
-}
-
-// SpanTarget is a Target that can decompose each op's modeled latency
-// into pipeline-stage cycles: the *Span variants reset span and charge
-// every stage of the op's critical path so the stage cycles sum exactly
-// to completion − arrival (the conservation property the attribution
-// tests pin). A nil span must behave exactly like the plain call. Both
-// built-in targets implement it; Options.Attribution requires it.
-type SpanTarget interface {
-	Target
 	WriteSpan(arrival, addr int64, data []byte, span *obs.Span) (int64, error)
 	ReadSpan(arrival, addr int64, dst []byte, span *obs.Span) (int64, error)
 }
 
-// ControllerTarget adapts one core.Controller. It owns the modeled
-// clock, and executes exactly the per-block read-modify-write protocol
-// of a plain thoth.System — with every arrival at cycle 0 the two are
-// byte- and cycle-identical, the property the closed-loop differential
-// test pins. Not safe for concurrent use (neither is the controller).
+// ControllerTarget adapts one core.Controller through its byte-range
+// port — the same front end a plain thoth.System uses, so with every
+// arrival at cycle 0 the two are byte- and cycle-identical, the property
+// the closed-loop differential test pins. Not safe for concurrent use
+// (neither is the controller).
 type ControllerTarget struct {
-	ctl  *core.Controller
-	now  int64
-	bs   int64
-	base int64
-	size int64
+	port *core.Port
 }
 
 // NewControllerTarget wraps a controller.
 func NewControllerTarget(ctl *core.Controller) *ControllerTarget {
-	lay := ctl.Layout()
-	return &ControllerTarget{
-		ctl:  ctl,
-		bs:   int64(ctl.Device().BlockSize()),
-		base: lay.DataBase,
-		size: lay.DataBytes,
-	}
+	return &ControllerTarget{port: core.NewPort(ctl)}
 }
 
 // BlockSize returns the access granularity in bytes.
-func (t *ControllerTarget) BlockSize() int { return int(t.bs) }
+func (t *ControllerTarget) BlockSize() int { return t.port.BlockSize() }
 
 // DataSize returns the protected data region in bytes.
-func (t *ControllerTarget) DataSize() int64 { return t.size }
+func (t *ControllerTarget) DataSize() int64 { return t.port.DataSize() }
 
 // Now returns the modeled clock (the completion cycle of the last op).
-func (t *ControllerTarget) Now() int64 { return t.now }
+func (t *ControllerTarget) Now() int64 { return t.port.Now() }
 
 // Controller exposes the wrapped controller for stats and crash hooks.
-func (t *ControllerTarget) Controller() *core.Controller { return t.ctl }
+func (t *ControllerTarget) Controller() *core.Controller { return t.port.Controller() }
 
 // Stats snapshots the controller statistics, Cycles stamped to the
 // target clock (the same protocol as System.Stats).
-func (t *ControllerTarget) Stats() stats.Stats {
-	t.ctl.SyncStats()
-	snap := *t.ctl.Stats()
-	snap.Cycles = t.now
-	return snap
-}
+func (t *ControllerTarget) Stats() stats.Stats { return t.port.Stats() }
 
-// checkRange validates a data-region access.
-func (t *ControllerTarget) checkRange(arrival, addr int64, n int) error {
-	if arrival < 0 {
-		return fmt.Errorf("loadgen: negative arrival cycle %d", arrival)
-	}
-	if addr < 0 || n < 0 || addr+int64(n) > t.size {
-		return fmt.Errorf("%w: range [%d,+%d) outside data region of %d bytes",
-			engine.ErrOutOfRange, addr, n, t.size)
-	}
-	return nil
-}
-
-// Write persists data arriving at the given cycle, splitting at block
-// boundaries with read-modify-write for partial blocks — System.Write's
-// exact protocol, starting from max(arrival, clock).
-func (t *ControllerTarget) Write(arrival, addr int64, data []byte) (int64, error) {
-	return t.WriteSpan(arrival, addr, data, nil)
-}
-
-// WriteSpan is Write with per-stage latency attribution: the front-end
+// WriteSpan persists data arriving at the given cycle: the front-end
 // wait (arrival → service start) is charged to SpanQueue and the
-// controller charges the service stages, so span's total equals
-// completion − arrival. nil span is exactly Write.
+// controller charges the service stages.
 func (t *ControllerTarget) WriteSpan(arrival, addr int64, data []byte, span *obs.Span) (int64, error) {
-	if err := t.checkRange(arrival, addr, len(data)); err != nil {
-		return t.now, err
-	}
-	if arrival > t.now {
-		t.now = arrival
-	}
-	if span != nil {
-		span.Reset()
-		span.Add(obs.SpanQueue, t.now-arrival)
-		t.ctl.SetSpan(span)
-		defer t.ctl.SetSpan(nil)
-	}
-	for off := int64(0); off < int64(len(data)); {
-		blk := (addr + off) / t.bs * t.bs
-		lo := (addr + off) - blk
-		n := t.bs - lo
-		if rem := int64(len(data)) - off; n > rem {
-			n = rem
-		}
-		var block []byte
-		if lo == 0 && n == t.bs {
-			block = data[off : off+n]
-		} else {
-			done, cur := t.ctl.ReadBlockAllowEmpty(t.now, t.base+blk)
-			t.now = done
-			copy(cur[lo:lo+n], data[off:off+n])
-			block = cur
-		}
-		t.now = t.ctl.PersistBlock(t.now, t.base+blk, block)
-		off += n
-	}
-	return t.now, nil
+	return t.port.Write(arrival, addr, data, span)
 }
 
-// Read fills dst from the given offset, decrypting and verifying every
-// covered block, starting from max(arrival, clock).
-func (t *ControllerTarget) Read(arrival, addr int64, dst []byte) (int64, error) {
-	return t.ReadSpan(arrival, addr, dst, nil)
-}
-
-// ReadSpan is Read with per-stage latency attribution; see WriteSpan.
+// ReadSpan fills dst from the given offset; see WriteSpan.
 func (t *ControllerTarget) ReadSpan(arrival, addr int64, dst []byte, span *obs.Span) (int64, error) {
-	if err := t.checkRange(arrival, addr, len(dst)); err != nil {
-		return t.now, err
-	}
-	if arrival > t.now {
-		t.now = arrival
-	}
-	if span != nil {
-		span.Reset()
-		span.Add(obs.SpanQueue, t.now-arrival)
-		t.ctl.SetSpan(span)
-		defer t.ctl.SetSpan(nil)
-	}
-	for off := int64(0); off < int64(len(dst)); {
-		blk := (addr + off) / t.bs * t.bs
-		lo := (addr + off) - blk
-		take := t.bs - lo
-		if rem := int64(len(dst)) - off; take > rem {
-			take = rem
-		}
-		done, block := t.ctl.ReadBlockAllowEmpty(t.now, t.base+blk)
-		t.now = done
-		copy(dst[off:off+take], block[lo:lo+take])
-		off += take
-	}
-	return t.now, nil
+	return t.port.Read(arrival, addr, dst, span)
 }
 
 // PoolTarget adapts a sharded engine.Pool through its arrival-aware op
@@ -193,25 +86,15 @@ func (t *PoolTarget) BlockSize() int { return t.pool.BlockSize() }
 // DataSize returns the pooled protected data region in bytes.
 func (t *PoolTarget) DataSize() int64 { return t.pool.DataSize() }
 
-// Write persists data arriving at the given cycle.
-func (t *PoolTarget) Write(arrival, addr int64, data []byte) (int64, error) {
-	return t.pool.WriteArrive(arrival, addr, data)
-}
-
-// Read fills dst from the given offset.
-func (t *PoolTarget) Read(arrival, addr int64, dst []byte) (int64, error) {
-	return t.pool.ReadArrive(arrival, addr, dst)
-}
-
-// WriteSpan is Write with per-stage latency attribution: the shard
+// WriteSpan persists data arriving at the given cycle: the shard
 // mailbox wait of the op's critical segment lands in SpanQueue and the
 // owning controller charges the service stages; see engine's
-// WriteArriveSpan for the multi-segment semantics.
+// WriteArrive for the multi-segment semantics.
 func (t *PoolTarget) WriteSpan(arrival, addr int64, data []byte, span *obs.Span) (int64, error) {
-	return t.pool.WriteArriveSpan(arrival, addr, data, span)
+	return t.pool.WriteArrive(arrival, addr, data, span)
 }
 
-// ReadSpan is Read with per-stage latency attribution; see WriteSpan.
+// ReadSpan fills dst from the given offset; see WriteSpan.
 func (t *PoolTarget) ReadSpan(arrival, addr int64, dst []byte, span *obs.Span) (int64, error) {
-	return t.pool.ReadArriveSpan(arrival, addr, dst, span)
+	return t.pool.ReadArrive(arrival, addr, dst, span)
 }

@@ -76,7 +76,10 @@ func LoadImage(r io.Reader) (*Device, error) {
 	blockSize := int(binary.LittleEndian.Uint32(hdr[12:16]))
 	capacity := int64(binary.LittleEndian.Uint64(hdr[16:24]))
 	count := binary.LittleEndian.Uint64(hdr[24:32])
-	if blockSize <= 0 || capacity <= 0 || capacity%int64(blockSize) != 0 {
+	// The header is untrusted: bound the geometry before New allocates
+	// for it.
+	if !ValidBlockSize(blockSize) || capacity <= 0 || capacity > MaxCapacity ||
+		capacity%int64(blockSize) != 0 {
 		return nil, fmt.Errorf("nvm: image geometry invalid (block=%d cap=%d)", blockSize, capacity)
 	}
 	maxBlocks := uint64(capacity / int64(blockSize))

@@ -2,6 +2,7 @@ package nvm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -54,6 +55,36 @@ func TestLoadImageRejectsBadGeometry(t *testing.T) {
 	raw[13] = 0
 	if _, err := LoadImage(bytes.NewReader(raw)); err == nil {
 		t.Fatal("bad geometry accepted")
+	}
+}
+
+// TestLoadImageRejectsHostileGeometry pins that a header claiming an
+// unsupported block size or an oversized capacity is refused before any
+// allocation sized by it: either would otherwise allocate gigabytes or
+// exhaust memory outright.
+func TestLoadImageRejectsHostileGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		blockSize uint32
+		capacity  uint64
+	}{
+		{"huge capacity", 128, 1 << 52},
+		{"capacity just over bound", 128, uint64(MaxCapacity) + 128},
+		{"huge block size", 1 << 30, 1 << 30},
+		{"unsupported block size", 512, 1 << 20},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := New(1<<20, 128).Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			raw := buf.Bytes()
+			binary.LittleEndian.PutUint32(raw[12:16], tc.blockSize)
+			binary.LittleEndian.PutUint64(raw[16:24], tc.capacity)
+			if _, err := LoadImage(bytes.NewReader(raw)); err == nil {
+				t.Fatalf("block=%d cap=%d accepted", tc.blockSize, tc.capacity)
+			}
+		})
 	}
 }
 

@@ -30,6 +30,16 @@ import (
 // stay per block.
 const PageBlocks = 64
 
+// MaxCapacity bounds a module's capacity: Table I's 32 GB, the largest
+// configuration the simulator models. config.Validate enforces it on
+// MemBytes and LoadImage on untrusted image headers, which keeps the
+// page-pointer table New allocates up front bounded.
+const MaxCapacity int64 = 32 << 30
+
+// ValidBlockSize reports whether n is a supported access granularity:
+// 64, 128 or 256 bytes.
+func ValidBlockSize(n int) bool { return n == 64 || n == 128 || n == 256 }
+
 // page is one storage page: PageBlocks blocks of data, per-block wear
 // counters, and a written bitmap (one bit per block).
 type page struct {

@@ -3,104 +3,22 @@ package obs
 import (
 	"bufio"
 	"io"
-	"sync"
 )
 
-// DefaultFlightEvents is the per-controller flight-recorder capacity:
-// enough to cover the metadata traffic of the last few thousand ops
-// without measurable steady-state cost.
+// DefaultFlightEvents is the capacity of each controller's flight
+// recorder (a Ring): enough to cover the metadata traffic of the last
+// few thousand ops without measurable steady-state cost.
 const DefaultFlightEvents = 4096
 
-// FlightRecorder is the controller's always-on black box: a bounded
-// ring of the most recent events that Crash/CrashShards snapshot and
-// dump to JSONL alongside the crash image, so every crashfuzz or pool
-// failure ships the event history that led up to it.
-//
-// Unlike the opt-in config Tracer, the recorder runs even when tracing
-// is disabled. Emit stores into a preallocated buffer under a mutex —
-// Event is a flat value struct, so recording allocates nothing — and
-// an idle recorder costs nothing at all (no timers, no goroutines).
-// Safe for concurrent use.
-type FlightRecorder struct {
-	mu      sync.Mutex
-	buf     []Event
-	head    int   // next write position
-	n       int   // live events in buf
-	dropped int64 // events overwritten
-	count   int64
-}
-
-// NewFlightRecorder returns a recorder keeping up to capacity events;
-// capacity < 1 selects DefaultFlightEvents.
-func NewFlightRecorder(capacity int) *FlightRecorder {
-	if capacity < 1 {
-		capacity = DefaultFlightEvents
-	}
-	return &FlightRecorder{buf: make([]Event, capacity)}
-}
-
-// Emit records the event, overwriting the oldest when full.
-func (f *FlightRecorder) Emit(e Event) {
-	f.mu.Lock()
-	f.buf[f.head] = e
-	f.head = (f.head + 1) % len(f.buf)
-	if f.n < len(f.buf) {
-		f.n++
-	} else {
-		f.dropped++
-	}
-	f.count++
-	f.mu.Unlock()
-}
-
-// Len returns the number of retained events.
-func (f *FlightRecorder) Len() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.n
-}
-
-// Dropped returns how many events were overwritten by newer ones.
-func (f *FlightRecorder) Dropped() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.dropped
-}
-
-// Count returns the total number of events recorded (retained +
-// dropped).
-func (f *FlightRecorder) Count() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.count
-}
-
-// Snapshot returns an immutable copy of the recorder's state: the
-// retained events in emission order plus the drop accounting. Crash
-// paths call this at the crash point so the record is frozen even if
-// the recorder keeps running.
-func (f *FlightRecorder) Snapshot() FlightRecord {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	events := make([]Event, 0, f.n)
-	start := f.head - f.n
-	if start < 0 {
-		start += len(f.buf)
-	}
-	for i := 0; i < f.n; i++ {
-		events = append(events, f.buf[(start+i)%len(f.buf)])
-	}
-	return FlightRecord{Events: events, Dropped: f.dropped, Count: f.count}
-}
-
-// FlightRecord is a frozen flight-recorder snapshot: the event tail
-// retained at the moment of a crash or shutdown.
+// FlightRecord is a frozen Ring snapshot: for a controller's flight
+// recorder, the event tail retained at the moment of a crash or
+// shutdown.
 type FlightRecord struct {
 	// Events are the retained events, oldest first.
 	Events []Event
 	// Dropped is how many older events the ring had overwritten.
 	Dropped int64
-	// Count is the total events recorded over the recorder's lifetime.
+	// Count is the total events recorded over the ring's lifetime.
 	Count int64
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 func TestFlightRecorderKeepsTail(t *testing.T) {
-	f := NewFlightRecorder(4)
+	f := NewRing(4)
 	for i := 0; i < 7; i++ {
 		f.Emit(Event{Kind: KindWPQDrain, Cycle: int64(i), Scheme: "s"})
 	}
@@ -29,7 +29,7 @@ func TestFlightRecorderKeepsTail(t *testing.T) {
 }
 
 func TestFlightRecorderDefaultCapacity(t *testing.T) {
-	f := NewFlightRecorder(0)
+	f := NewRing(DefaultFlightEvents)
 	for i := 0; i < DefaultFlightEvents+10; i++ {
 		f.Emit(Event{Kind: KindPCBFlush, Cycle: int64(i), Scheme: "s"})
 	}
@@ -42,7 +42,7 @@ func TestFlightRecorderDefaultCapacity(t *testing.T) {
 // JSONL output validates under ValidateJSONL (the tracecheck schema)
 // and decodes back to the identical event sequence.
 func TestFlightRecordJSONLRoundTrip(t *testing.T) {
-	f := NewFlightRecorder(16)
+	f := NewRing(16)
 	for i := 0; i < 10; i++ {
 		f.Emit(Event{
 			Kind:   Kind(1 + i%(int(numKinds)-1)),
@@ -76,11 +76,11 @@ func TestFlightRecordJSONLRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderEmitVsSnapshotRace hammers the recorder from 8
+// TestFlightRecorderEmitVsSnapshotRace hammers the ring from 8
 // emitters while a drainer continuously snapshots: run under -race this
 // is the data-race check; the invariants below catch torn accounting.
 func TestFlightRecorderEmitVsSnapshotRace(t *testing.T) {
-	f := NewFlightRecorder(64)
+	f := NewRing(64)
 	const emitters = 8
 	const perEmitter = 2000
 	var stop atomic.Bool

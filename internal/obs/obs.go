@@ -18,7 +18,10 @@
 // encode pay for what they keep.
 package obs
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Kind identifies the event type.
 type Kind uint8
@@ -264,4 +267,21 @@ func (m multi) Emit(e Event) {
 	for _, t := range m {
 		t.Emit(e)
 	}
+}
+
+// Locked wraps t so concurrent Emit calls are serialized: pool shards
+// and parallel recovery workers emit from several goroutines, and this
+// lets them feed ordinary (non-concurrency-safe) tracers such as the
+// Chrome exporter.
+func Locked(t Tracer) Tracer { return &locked{t: t} }
+
+type locked struct {
+	mu sync.Mutex
+	t  Tracer
+}
+
+func (l *locked) Emit(e Event) {
+	l.mu.Lock()
+	l.t.Emit(e)
+	l.mu.Unlock()
 }

@@ -2,9 +2,13 @@ package obs
 
 import "sync"
 
-// Ring is a bounded in-memory tracer for tests: it keeps the most
-// recent capacity events (older ones are overwritten) and counts what
-// it had to drop. Safe for concurrent use.
+// Ring is a bounded in-memory tracer: it keeps the most recent capacity
+// events (older ones are overwritten) and counts what it had to drop.
+// Every controller runs one as its always-on flight recorder, a black
+// box independent of the opt-in tracer that Crash/CrashShards snapshot
+// and dump to JSONL alongside the crash image. Emit copies a flat Event
+// into a preallocated buffer under a mutex, so recording allocates
+// nothing and an idle ring costs nothing. Safe for concurrent use.
 type Ring struct {
 	mu      sync.Mutex
 	buf     []Event
@@ -37,18 +41,23 @@ func (r *Ring) Emit(e Event) {
 }
 
 // Events returns the retained events in emission order (oldest first).
-func (r *Ring) Events() []Event {
+func (r *Ring) Events() []Event { return r.Snapshot().Events }
+
+// Snapshot returns an immutable copy of the ring: the retained events
+// in emission order plus the drop accounting, taken atomically so the
+// record stays frozen while the ring keeps running.
+func (r *Ring) Snapshot() FlightRecord {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Event, 0, r.n)
+	events := make([]Event, 0, r.n)
 	start := r.head - r.n
 	if start < 0 {
 		start += len(r.buf)
 	}
 	for i := 0; i < r.n; i++ {
-		out = append(out, r.buf[(start+i)%len(r.buf)])
+		events = append(events, r.buf[(start+i)%len(r.buf)])
 	}
-	return out
+	return FlightRecord{Events: events, Dropped: r.dropped, Count: r.count}
 }
 
 // Len returns the number of retained events.

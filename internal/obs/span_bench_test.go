@@ -66,9 +66,9 @@ func TestSpanDisabledZeroAlloc(t *testing.T) {
 // stores into the preallocated ring and allocates nothing, which is
 // what makes an always-on recorder affordable on the persist path.
 func TestFlightEmitZeroAlloc(t *testing.T) {
-	f := NewFlightRecorder(64)
+	f := NewRing(64)
 	ev := Event{Kind: KindWPQDrain, Cycle: 1, Scheme: "thoth-wtsc"}
 	if n := testing.AllocsPerRun(1000, func() { f.Emit(ev) }); n != 0 {
-		t.Fatalf("FlightRecorder.Emit allocates %.0f per event, want 0", n)
+		t.Fatalf("Ring.Emit allocates %.0f per event, want 0", n)
 	}
 }

@@ -101,21 +101,6 @@ func emitPhase(cfg config.Config, phase string, shard int64, begin, end int64) {
 	})
 }
 
-// lockedTracer serializes Emit calls issued by concurrent shard
-// goroutines, so callers can pass ordinary (non-concurrency-safe)
-// tracers — the Chrome exporter, ring buffers — to RecoverParallel.
-type lockedTracer struct {
-	mu sync.Mutex
-	t  obs.Tracer
-}
-
-// Emit forwards one event under the lock.
-func (l *lockedTracer) Emit(e obs.Event) {
-	l.mu.Lock()
-	l.t.Emit(e)
-	l.mu.Unlock()
-}
-
 // RecoverParallel restores a crashed device image in place like Recover,
 // but shards the PUB merge and the tree rebuild across worker
 // goroutines. The result — device bytes, error (same sentinels, test
@@ -184,7 +169,7 @@ func RecoverParallel(cfg config.Config, dev *nvm.Device, opts RecoverOpts) (*Rep
 		mergeStart := time.Now()
 		mcfg := cfg
 		if cfg.Tracer != nil {
-			mcfg.Tracer = &lockedTracer{t: cfg.Tracer}
+			mcfg.Tracer = obs.Locked(cfg.Tracer)
 		}
 		shardReps := make([]Report, workers)
 		shardWall := make([]int64, workers)

@@ -6,7 +6,6 @@ package stats
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -343,60 +342,4 @@ func (s *Stats) String() string {
 		100*s.CtrHitRate(), 100*s.MACHitRate(), 100*s.MTHitRate(),
 		100*s.LLCHitRate(), 100*s.PCBMergeRate())
 	return b.String()
-}
-
-// Histogram is a simple integer histogram used for ad-hoc analyses
-// (e.g. PUB residency times, WPQ occupancy samples).
-type Histogram struct {
-	counts map[int64]int64
-	n      int64
-	sum    int64
-}
-
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram {
-	return &Histogram{counts: make(map[int64]int64)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(v int64) {
-	h.counts[v]++
-	h.n++
-	h.sum += v
-}
-
-// N returns the number of observations.
-func (h *Histogram) N() int64 { return h.n }
-
-// Mean returns the average observation, or 0 when empty.
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.n)
-}
-
-// Percentile returns the smallest value v such that at least p (0..1] of
-// observations are <= v. Returns 0 when empty.
-func (h *Histogram) Percentile(p float64) int64 {
-	if h.n == 0 {
-		return 0
-	}
-	keys := make([]int64, 0, len(h.counts))
-	for k := range h.counts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	need := int64(p * float64(h.n))
-	if need < 1 {
-		need = 1
-	}
-	var seen int64
-	for _, k := range keys {
-		seen += h.counts[k]
-		if seen >= need {
-			return k
-		}
-	}
-	return keys[len(keys)-1]
 }

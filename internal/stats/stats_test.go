@@ -95,28 +95,6 @@ func TestStringReport(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram()
-	if h.Mean() != 0 || h.Percentile(0.5) != 0 {
-		t.Error("empty histogram must return zeros")
-	}
-	for _, v := range []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10} {
-		h.Add(v)
-	}
-	if h.N() != 10 {
-		t.Fatalf("N = %d, want 10", h.N())
-	}
-	if h.Mean() != 5.5 {
-		t.Fatalf("Mean = %g, want 5.5", h.Mean())
-	}
-	if got := h.Percentile(0.5); got != 5 {
-		t.Fatalf("P50 = %d, want 5", got)
-	}
-	if got := h.Percentile(1.0); got != 10 {
-		t.Fatalf("P100 = %d, want 10", got)
-	}
-}
-
 // Add must be the exact inverse of Sub field-by-field: (a.Add(b)).Sub(b)
 // == a for arbitrary snapshots, so pooled stats merged with Add can be
 // decomposed with Sub without drift. Exercised over the exported fields
@@ -171,31 +149,6 @@ func TestWriteSharesSumToOne(t *testing.T) {
 			sum += sh
 		}
 		return math.Abs(sum-1) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: histogram percentile is monotone in p.
-func TestHistogramPercentileMonotone(t *testing.T) {
-	f := func(vals []int16) bool {
-		if len(vals) == 0 {
-			return true
-		}
-		h := NewHistogram()
-		for _, v := range vals {
-			h.Add(int64(v))
-		}
-		prev := h.Percentile(0.01)
-		for _, p := range []float64{0.1, 0.25, 0.5, 0.75, 0.9, 1.0} {
-			cur := h.Percentile(p)
-			if cur < prev {
-				return false
-			}
-			prev = cur
-		}
-		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

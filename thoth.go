@@ -46,14 +46,14 @@ import (
 
 // Sentinel errors for the two access-failure classes. They are wrapped
 // with call-site detail; test with errors.Is. The same sentinels are
-// returned by both System and Pool (the values live in internal/engine
-// so the sharded front-end can share them without an import cycle).
+// returned by both System and Pool (the values live in internal/core,
+// whose byte-range port both front ends share).
 var (
 	// ErrCrashed reports an operation on a system that has crashed (or
 	// shut down). Recover the device image and Open a new system.
-	ErrCrashed = engine.ErrCrashed
+	ErrCrashed = core.ErrCrashed
 	// ErrOutOfRange reports an access outside the protected data region.
-	ErrOutOfRange = engine.ErrOutOfRange
+	ErrOutOfRange = core.ErrOutOfRange
 )
 
 // Config is the machine configuration (Table I parameters plus sweep
@@ -267,8 +267,7 @@ func WriteMetricsProm(w io.Writer, reg *MetricsRegistry) error { return metrics.
 type System struct {
 	cfg       config.Config
 	ctl       *core.Controller
-	now       int64
-	crashed   bool
+	port      *core.Port  // the modeled clock and the byte-range front end
 	lastStats stats.Stats // baseline for StatsDelta
 
 	// batchScratch stages the translated requests of PersistBatch,
@@ -289,7 +288,7 @@ func New(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &System{cfg: cfg, ctl: ctl}, nil
+	return &System{cfg: cfg, ctl: ctl, port: core.NewPort(ctl)}, nil
 }
 
 // Open attaches a system to an existing device image — one left by
@@ -300,60 +299,25 @@ func Open(cfg Config, dev *Device) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &System{cfg: cfg, ctl: ctl}, nil
+	return &System{cfg: cfg, ctl: ctl, port: core.NewPort(ctl)}, nil
 }
 
 // Config returns the system's configuration.
 func (s *System) Config() Config { return s.cfg }
 
 // DataSize returns the usable protected data region in bytes.
-func (s *System) DataSize() int64 { return s.ctl.Layout().DataBytes }
+func (s *System) DataSize() int64 { return s.port.DataSize() }
 
 // BlockSize returns the access granularity in bytes.
 func (s *System) BlockSize() int { return s.cfg.BlockSize }
-
-// checkRange validates a data-region access.
-func (s *System) checkRange(addr int64, n int) error {
-	switch {
-	case s.crashed:
-		return fmt.Errorf("%w; recover the device and Open a new system", ErrCrashed)
-	case addr < 0 || n < 0 || addr+int64(n) > s.DataSize():
-		return fmt.Errorf("%w: range [%d,+%d) outside data region of %d bytes", ErrOutOfRange, addr, n, s.DataSize())
-	}
-	return nil
-}
 
 // Write persists data at the given offset. The write is encrypted,
 // MACed, bound into the integrity tree, and made crash-consistent per
 // the configured scheme. Unaligned or partial-block writes perform
 // read-modify-write on the affected blocks.
 func (s *System) Write(addr int64, data []byte) error {
-	if err := s.checkRange(addr, len(data)); err != nil {
-		return err
-	}
-	bs := int64(s.cfg.BlockSize)
-	base := s.ctl.Layout().DataBase
-	for off := int64(0); off < int64(len(data)); {
-		blk := (addr + off) / bs * bs
-		lo := (addr + off) - blk
-		n := bs - lo
-		if rem := int64(len(data)) - off; n > rem {
-			n = rem
-		}
-		var block []byte
-		if lo == 0 && n == bs {
-			block = data[off : off+n]
-		} else {
-			// Read-modify-write for partial blocks.
-			done, cur := s.ctl.ReadBlockAllowEmpty(s.now, base+blk)
-			s.now = done
-			copy(cur[lo:lo+n], data[off:off+n])
-			block = cur
-		}
-		s.now = s.ctl.PersistBlock(s.now, base+blk, block)
-		off += n
-	}
-	return nil
+	_, err := s.port.Write(0, addr, data, nil)
+	return err
 }
 
 // WriteReq is one full-block write of a PersistBatch: a block-aligned
@@ -379,7 +343,7 @@ type WriteReq = engine.WriteReq
 func (s *System) PersistBatch(reqs []WriteReq) error {
 	bs := int64(s.cfg.BlockSize)
 	for i := range reqs {
-		if err := s.checkRange(reqs[i].Addr, len(reqs[i].Data)); err != nil {
+		if err := s.port.Check(reqs[i].Addr, len(reqs[i].Data)); err != nil {
 			return fmt.Errorf("batch request %d: %w", i, err)
 		}
 		if reqs[i].Addr%bs != 0 || int64(len(reqs[i].Data)) != bs {
@@ -395,7 +359,7 @@ func (s *System) PersistBatch(reqs []WriteReq) error {
 	for i := range reqs {
 		creqs = append(creqs, core.WriteReq{Addr: base + reqs[i].Addr, Data: reqs[i].Data})
 	}
-	s.now = s.ctl.PersistBatch(s.now, creqs)
+	s.port.PersistBatch(creqs)
 	for i := range creqs {
 		creqs[i].Data = nil // drop payload references until the next batch
 	}
@@ -406,23 +370,12 @@ func (s *System) PersistBatch(reqs []WriteReq) error {
 // Read returns n bytes from the given offset, decrypting and verifying
 // every covered block.
 func (s *System) Read(addr int64, n int) ([]byte, error) {
-	if err := s.checkRange(addr, n); err != nil {
+	if err := s.port.Check(addr, n); err != nil {
 		return nil, err
 	}
 	out := make([]byte, n)
-	bs := int64(s.cfg.BlockSize)
-	base := s.ctl.Layout().DataBase
-	for off := int64(0); off < int64(n); {
-		blk := (addr + off) / bs * bs
-		lo := (addr + off) - blk
-		take := bs - lo
-		if rem := int64(n) - off; take > rem {
-			take = rem
-		}
-		done, block := s.ctl.ReadBlockAllowEmpty(s.now, base+blk)
-		s.now = done
-		copy(out[off:off+take], block[lo:lo+take])
-		off += take
+	if _, err := s.port.Read(0, addr, out, nil); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -431,8 +384,8 @@ func (s *System) Read(addr int64, n int) ([]byte, error) {
 // past the end of the region are truncated and return io.EOF, per the
 // io.ReaderAt contract.
 func (s *System) ReadAt(p []byte, off int64) (int, error) {
-	if s.crashed || off < 0 {
-		return 0, s.checkRange(off, 0)
+	if s.ctl.Crashed() || off < 0 {
+		return 0, s.port.Check(off, 0)
 	}
 	if off >= s.DataSize() {
 		return 0, io.EOF
@@ -471,8 +424,7 @@ func (s *System) WriteAt(p []byte, off int64) (int, error) {
 // every pending partial update (a controller invariant violation); the
 // image is still returned for diagnosis, but recovery may not verify.
 func (s *System) Crash() (*Device, error) {
-	err := s.ctl.Crash(s.now)
-	s.crashed = true
+	err := s.port.Crash()
 	return s.ctl.Device(), err
 }
 
@@ -480,9 +432,7 @@ func (s *System) Crash() (*Device, error) {
 // in place and the image needs no recovery. Returns the device image,
 // and a non-nil error under the same condition as Crash.
 func (s *System) Shutdown() (*Device, error) {
-	now, err := s.ctl.Shutdown(s.now)
-	s.now = now
-	s.crashed = true
+	err := s.port.Shutdown()
 	return s.ctl.Device(), err
 }
 
@@ -509,18 +459,18 @@ func (s *System) SchemeInfo() SchemeInfo { return s.ctl.SchemeInfo() }
 // in the ADR domain (PCB or PUB). It returns a descriptive error on the
 // first violation found.
 func (s *System) VerifyCrashConsistency() error {
-	if s.crashed {
+	if s.ctl.Crashed() {
 		return ErrCrashed
 	}
 	return s.ctl.VerifyCrashConsistency()
 }
 
 // Elapsed returns the modeled execution time in core cycles.
-func (s *System) Elapsed() int64 { return s.now }
+func (s *System) Elapsed() int64 { return s.port.Now() }
 
 // ElapsedSeconds converts Elapsed to seconds at the configured clock.
 func (s *System) ElapsedSeconds() float64 {
-	return float64(s.now) / (s.cfg.CPUFreqGHz * 1e9)
+	return float64(s.port.Now()) / (s.cfg.CPUFreqGHz * 1e9)
 }
 
 // Stats returns an immutable snapshot of the controller statistics at
@@ -536,12 +486,7 @@ func (s *System) ElapsedSeconds() float64 {
 // a pre-crash snapshot from a post-recovery one does not measure an
 // interval — it yields negative fields wherever the old incarnation had
 // counted more. See Stats.Sub and StatsDelta for the exact semantics.
-func (s *System) Stats() StatsSnapshot {
-	s.ctl.SyncStats()
-	snap := *s.ctl.Stats()
-	snap.Cycles = s.now
-	return snap
-}
+func (s *System) Stats() StatsSnapshot { return s.port.Stats() }
 
 // StatsDelta returns the statistics accumulated since the previous
 // StatsDelta call (or since the system was created) and advances the
