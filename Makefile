@@ -8,7 +8,7 @@ FUZZTIME ?= 10s
 TRACE_FILE ?= /tmp/thoth-trace-smoke.jsonl
 FLIGHT_DIR ?= /tmp/thoth-flight-smoke
 
-.PHONY: ci vet build test race crashfuzz scheme-diff parallel-diff persist-diff pool-diff trace-smoke metrics-smoke load-smoke obs-smoke bench-alloc bench-json perfbench-check fuzz-smoke fuzz-parallel-smoke fuzz-persist-smoke fuzz-bitpack-smoke sweep-1000
+.PHONY: ci vet build test race crashfuzz scheme-diff parallel-diff persist-diff pool-diff trace-smoke metrics-smoke load-smoke obs-smoke bench-alloc bench-json perfbench-check fuzz-smoke fuzz-parallel-smoke fuzz-persist-smoke fuzz-bitpack-smoke fuzz-image-smoke sweep-1000
 
 ci: vet build test race crashfuzz scheme-diff parallel-diff persist-diff pool-diff trace-smoke metrics-smoke load-smoke obs-smoke bench-alloc bench-json perfbench-check
 
@@ -50,9 +50,9 @@ scheme-diff:
 parallel-diff:
 	$(GO) test ./internal/recovery -run TestParallelRecoveryDifferential -count=1
 
-# Serial-vs-pipelined persist differential: 200 seeded traces, each
-# persisted block-by-block and through core.PersistBatch at Workers in
-# {1,2,4,8} with a per-seed batch depth and mid-batch crash split; crash
+# Serial-vs-batched persist differential: 200 seeded traces, each
+# persisted block-by-block and through PersistBatch with a per-seed
+# batch depth and mid-batch crash split; crash
 # images, stats snapshots, recovery outcomes and recovered plaintext
 # must all be identical. The `race` lane re-runs the same suite under
 # the race detector (the test lives in ./internal/core).
@@ -152,7 +152,7 @@ fuzz-smoke:
 fuzz-parallel-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzParallelRecovery -fuzztime=$(FUZZTIME) ./internal/crashfuzz
 
-# Same, against the serial-vs-pipelined persist oracle: the fuzzer
+# Same, against the serial-vs-batched persist oracle: the fuzzer
 # steers crash index, batch depth and mid-batch split.
 fuzz-persist-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzPersistPipeline -fuzztime=$(FUZZTIME) ./internal/crashfuzz
@@ -161,6 +161,11 @@ fuzz-persist-smoke:
 # reference: any field on any slice must read and write identically.
 fuzz-bitpack-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzGetSet -fuzztime=$(FUZZTIME) ./internal/bitpack
+
+# Same, for crash-image loading: arbitrary bytes must load or fail
+# without panicking, and any image that loads must re-save byte-stably.
+fuzz-image-smoke:
+	$(GO) test -run=NONE -fuzz=FuzzLoadImage -fuzztime=$(FUZZTIME) ./internal/nvm
 
 # The acceptance-criteria sweep (slower; not part of `ci`).
 sweep-1000:

@@ -10,7 +10,8 @@
 //     (histogram Observe, the tracer-to-metrics adapter) and the load
 //     generator's per-op tick. These carry
 //     the zero-allocation guarantee: allocs/op is part of the baseline
-//     and ANY increase is a failure.
+//     and ANY increase is a failure. The micro/pool_* rows (sharded
+//     pool batches) allow max(1, 2%) more allocations than baseline.
 //   - figure: one quick-scale end-to-end experiment run per scheme, the
 //     wall-clock proxy for the paper-figure generators.
 //
@@ -255,8 +256,7 @@ func suite() []bench {
 				d.GenOp(&op)
 			}
 		}},
-		{"micro/persist_parallel_serial", benchPersistParallel(0)},
-		{"micro/persist_parallel_workers4", benchPersistParallel(4)},
+		{"micro/persist_parallel_serial", benchPersistSerial},
 		{"micro/pool_1shard", benchPool(1)},
 		{"micro/pool_4shard", benchPool(4)},
 		{"micro/pool_16shard", benchPool(16)},
@@ -309,61 +309,54 @@ func benchPersistScheme(s config.Scheme) func(*testing.B) {
 	}
 }
 
-// benchPersistParallel measures the batched persist pipeline: one op is
-// a 256-request batch of distinct hot blocks (metadata caches stay
+// benchPersistSerial measures in-order persistence of a batch: one op
+// is a 256-request batch of distinct hot blocks (metadata caches stay
 // warm, counters far from overflow, PUB far from eviction pressure) at
-// 256B blocks, where per-request crypto dominates. workers 0 is the
-// serial PersistBlock reference the ISSUE's >= 2x acceptance ratio is
-// measured against; both variants produce bit-identical controller
-// state, so the ns/op gap is purely host-CPU crypto parallelism.
-func benchPersistParallel(workers int) func(*testing.B) {
-	return func(b *testing.B) {
-		cfg := config.Default().WithScheme(config.ThothWTSC).WithBlockSize(256)
-		cfg.MemBytes = 1 << 30
-		// A small PUB wraps during warm-up, so every ring page the
-		// steady state touches is allocated before the timer starts and
-		// the serial variant stays allocation-free.
-		cfg.PUBBytes = 64 << 10
-		cfg.PersistWorkers = workers
-		c, err := core.New(cfg)
-		if err != nil {
-			b.Fatal(err)
+// 256B blocks, where per-request crypto dominates, persisted by chained
+// PersistBlock calls. The row keeps its historical name so its
+// trajectory stays comparable across baselines.
+func benchPersistSerial(b *testing.B) {
+	cfg := config.Default().WithScheme(config.ThothWTSC).WithBlockSize(256)
+	cfg.MemBytes = 1 << 30
+	// A small PUB wraps during warm-up, so every ring page the steady
+	// state touches is allocated before the timer starts and the loop
+	// stays allocation-free.
+	cfg.PUBBytes = 64 << 10
+	c, err := core.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const batch = 256
+	bs := int64(cfg.BlockSize)
+	base := c.Layout().DataBase
+	reqs := make([]core.WriteReq, batch)
+	for i := range reqs {
+		data := make([]byte, cfg.BlockSize)
+		for j := range data {
+			data[j] = byte(i) ^ byte(j)
 		}
-		const batch = 256
-		bs := int64(cfg.BlockSize)
-		base := c.Layout().DataBase
-		reqs := make([]core.WriteReq, batch)
-		for i := range reqs {
-			data := make([]byte, cfg.BlockSize)
-			for j := range data {
-				data[j] = byte(i) ^ byte(j)
-			}
-			reqs[i] = core.WriteReq{Addr: base + int64(i)*bs, Data: data}
+		reqs[i] = core.WriteReq{Addr: base + int64(i)*bs, Data: data}
+	}
+	run := func(now int64) int64 {
+		for _, q := range reqs {
+			now = c.PersistBlock(now, q.Addr, q.Data)
 		}
-		run := func(now int64) int64 {
-			if workers > 0 {
-				return c.PersistBatch(now, reqs)
-			}
-			for _, q := range reqs {
-				now = c.PersistBlock(now, q.Addr, q.Data)
-			}
-			return now
-		}
-		var now int64
-		for i := 0; i < 20; i++ { // warm caches, batch scratch, and a full PUB wrap
-			now = run(now)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			now = run(now)
-		}
+		return now
+	}
+	var now int64
+	for i := 0; i < 20; i++ { // warm caches and a full PUB wrap
+		now = run(now)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now = run(now)
 	}
 }
 
 // benchPool measures the sharded engine's aggregate persist throughput:
 // one op is a 256-request batch of distinct hot blocks scattered across
-// every shard's groups (same geometry as persist_parallel, so
+// every shard's groups (same geometry as persist_parallel_serial, so
 // pool_1shard vs persist_parallel_serial isolates the mailbox overhead
 // and pool_4shard vs pool_1shard isolates multi-controller scaling).
 // On a multi-core host the 4-shard pool should sustain >= 2x the
@@ -506,15 +499,17 @@ func compare(baseline, fresh File) []string {
 			bad = append(bad, fmt.Sprintf("%s: benchmark disappeared from the suite", name))
 			continue
 		}
-		// Benchmarks that spawn worker goroutines (the recovery/ family,
-		// the workers-variant persist pipeline and the sharded pool) are
-		// exempt from the exact allocation gate: allocs/op moves with b.N
-		// (goroutine-stack reuse, mailbox request objects) rather than
-		// with the code under test.
-		spawns := strings.HasPrefix(name, "recovery/") || strings.HasSuffix(name, "_workers4") ||
-			strings.HasPrefix(name, "micro/pool_")
+		// The recovery/ family spawns worker goroutines per op and is
+		// exempt from the allocation gate: its allocs/op moves with b.N
+		// (goroutine-stack reuse) rather than with the code under test.
+		spawns := strings.HasPrefix(name, "recovery/")
 		allocLimit := base.AllocsPerOp
-		if strings.HasPrefix(name, "figure/") {
+		switch {
+		case strings.HasPrefix(name, "micro/pool_"):
+			// The pool's per-batch mailbox requests are deterministic up
+			// to a stray goroutine-stack growth: allow max(1, 2%).
+			allocLimit += max(1, base.AllocsPerOp/50)
+		case strings.HasPrefix(name, "figure/"):
 			// The figure/ family runs a whole simulation per op (tens of
 			// thousands of allocations); map-growth timing jitters the
 			// count by a handful run-to-run. Allow 0.5% drift there —

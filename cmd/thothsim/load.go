@@ -276,7 +276,6 @@ func printLoadProgress(w io.Writer, d *loadgen.Driver, sampler *metrics.Sampler)
 			{"wpq", "thoth_wpq_occupancy"},
 			{"pub", "thoth_pub_occupancy_blocks"},
 			{"mail", "thoth_pool_shard_mailbox_depth"},
-			{"spec-miss", "thoth_spec_misses"},
 		} {
 			if v, ok := gaugeSum(g.prefix); ok {
 				fmt.Fprintf(w, " %s=%d", g.label, v)

@@ -114,17 +114,23 @@ func TestRunCrashRecoverParallel(t *testing.T) {
 	}
 }
 
+// TestRunBatchedPersistFlags pins that -persist-batch only applies to
+// the sharded pool mode: without -shards it is a usage error (exit 2)
+// rather than a silently ignored flag.
 func TestRunBatchedPersistFlags(t *testing.T) {
 	var out, errw bytes.Buffer
 	code := run([]string{
 		"-workload", "swap", "-txs", "30", "-warmup", "5", "-setup", "64", "-pub", "16",
-		"-persist-batch", "8", "-persist-workers", "4", "-verify", "-crash",
+		"-persist-batch", "8",
 	}, &out, &errw)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errw.String())
+	if code != 2 {
+		t.Fatalf("exit %d, want 2 (stderr: %s)", code, errw.String())
 	}
-	if !strings.Contains(out.String(), "recovery:") {
-		t.Errorf("output missing recovery line:\n%s", out.String())
+	if !strings.Contains(errw.String(), "-persist-batch requires -shards") {
+		t.Errorf("usage error not reported: %q", errw.String())
+	}
+	if out.Len() != 0 {
+		t.Errorf("usage error must not run the harness:\n%s", out.String())
 	}
 }
 

@@ -287,14 +287,6 @@ type Config struct {
 	// points) so every run is reproducible.
 	Seed int64
 
-	// PersistWorkers is the number of host goroutines the batched
-	// persist pipeline (System.PersistBatch) fans pad generation and MAC
-	// computation across. It parallelizes the simulator's own crypto
-	// work, not the modeled machine: results and modeled cycles are
-	// byte-identical for every worker count. 0 selects GOMAXPROCS at the
-	// call site; values are capped at 256.
-	PersistWorkers int
-
 	// Tracer, when non-nil, receives every controller event (PCB
 	// flushes, PUB evictions, counter overflows, WPQ drains, metadata
 	// cache evictions, tree write-backs, recovery merges). nil disables
@@ -444,8 +436,6 @@ func (c Config) Validate() error {
 		return errors.New("config: LLC must hold at least one block")
 	case c.NVMTreeLevels <= 0 || c.CacheTreeLevels <= 0:
 		return errors.New("config: tree levels must be positive")
-	case c.PersistWorkers < 0 || c.PersistWorkers > 256:
-		return fmt.Errorf("config: persist workers %d not in [0,256]", c.PersistWorkers)
 	}
 	if c.PartialsPerBlock() < 1 {
 		return fmt.Errorf("config: block size %d cannot pack a %d-bit partial entry", c.BlockSize, PartialEntryBits)
@@ -469,10 +459,6 @@ func (c Config) WithWPQ(n int) Config {
 	c.PCBEntries = n / 8
 	return c
 }
-
-// WithPersistWorkers returns a copy with the batched-persist worker
-// count replaced.
-func (c Config) WithPersistWorkers(n int) Config { c.PersistWorkers = n; return c }
 
 // WithMetadataCaches returns a copy with the counter and MAC cache sizes
 // replaced (Figure 11 sweeps 64k/128k, 512k/1M, 1M/2M).

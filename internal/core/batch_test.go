@@ -62,11 +62,11 @@ func assertSameState(t *testing.T, serial, batched *Controller) {
 // TestPersistBatchMatchesSerial drives the same request stream through
 // chained PersistBlock calls and through PersistBatch in chunks, for
 // every scheme, and demands bit-identical device images, stats and
-// modeled time — the pipeline's core contract.
+// modeled time — PersistBatch's contract.
 func TestPersistBatchMatchesSerial(t *testing.T) {
 	for _, s := range []config.Scheme{config.BaselineStrict, config.ThothWTSC, config.ThothWTBC, config.AnubisECC} {
 		t.Run(s.String(), func(t *testing.T) {
-			cfg := testConfig(s).WithPersistWorkers(4)
+			cfg := testConfig(s)
 			serial := mustNew(t, cfg)
 			batched := mustNew(t, cfg)
 
@@ -86,9 +86,6 @@ func TestPersistBatchMatchesSerial(t *testing.T) {
 			if tSerial != tBatched {
 				t.Fatalf("modeled time diverges: serial %d, batched %d", tSerial, tBatched)
 			}
-			if m := batched.SpecMisses(); m != 0 {
-				t.Fatalf("planner speculation missed %d times (want exact)", m)
-			}
 			assertSameState(t, serial, batched)
 		})
 	}
@@ -96,9 +93,9 @@ func TestPersistBatchMatchesSerial(t *testing.T) {
 
 // TestPersistBatchOverflowSpeculation hammers one page past the minor-
 // counter limit inside large batches, so overflows trigger mid-batch and
-// the planner must predict the {major+1, minor 1} reset exactly.
+// the page re-encryption must land exactly where the serial run has it.
 func TestPersistBatchOverflowSpeculation(t *testing.T) {
-	cfg := testConfig(config.ThothWTSC).WithPersistWorkers(4)
+	cfg := testConfig(config.ThothWTSC)
 	serial := mustNew(t, cfg)
 	batched := mustNew(t, cfg)
 	bs := int64(cfg.BlockSize)
@@ -132,48 +129,17 @@ func TestPersistBatchOverflowSpeculation(t *testing.T) {
 	if tSerial != tBatched {
 		t.Fatalf("modeled time diverges: serial %d, batched %d", tSerial, tBatched)
 	}
-	if m := batched.SpecMisses(); m != 0 {
-		t.Fatalf("planner speculation missed %d times across overflows", m)
-	}
 	assertSameState(t, serial, batched)
 }
 
-// TestPersistBatchWorkerInvariance runs one request stream at several
-// worker counts and demands identical images — the determinism claim
-// PersistWorkers documents.
-func TestPersistBatchWorkerInvariance(t *testing.T) {
-	base := testConfig(config.ThothWTBC)
-	var ref *Controller
-	for _, w := range []int{1, 2, 4, 8} {
-		cfg := base.WithPersistWorkers(w)
-		c := mustNew(t, cfg)
-		reqs := batchTrace(c, 42, 400)
-		var now int64
-		for lo := 0; lo < len(reqs); lo += 32 {
-			hi := lo + 32
-			if hi > len(reqs) {
-				hi = len(reqs)
-			}
-			now = c.PersistBatch(now, reqs[lo:hi])
-		}
-		if ref == nil {
-			ref = c
-			continue
-		}
-		assertSameState(t, ref, c)
-	}
-}
-
-// TestPersistBatchStageCrash pins the pipeline's crash semantics: the
-// plan and crypto stages mutate no controller or persistent state, so a
-// crash at any point before the commit stage — post-plan/pre-crypto is
-// indistinguishable from post-crypto/pre-commit — yields exactly the
-// image of a crash before the batch, and a crash after j committed
-// requests yields exactly the serial image of j chained persists.
+// TestPersistBatchStageCrash pins the batch's crash semantics: a batch
+// commits its requests one at a time in order, so a crash after j
+// committed requests yields exactly the serial image of j chained
+// persists.
 func TestPersistBatchStageCrash(t *testing.T) {
 	for _, s := range []config.Scheme{config.ThothWTSC, config.ThothWTBC} {
 		t.Run(s.String(), func(t *testing.T) {
-			cfg := testConfig(s).WithPersistWorkers(4)
+			cfg := testConfig(s)
 			mk := func() (*Controller, []WriteReq, int64) {
 				c := mustNew(t, cfg)
 				warm := batchTrace(c, 99, 120)
@@ -183,22 +149,6 @@ func TestPersistBatchStageCrash(t *testing.T) {
 				}
 				return c, batchTrace(c, 123, 40), now
 			}
-
-			// Crash between prepare and commit == crash before the batch.
-			a, _, ta := mk()
-			if err := a.Crash(ta); err != nil {
-				t.Fatal(err)
-			}
-			b, reqsB, tb := mk()
-			b.batchPrepare(tb, reqsB)
-			if err := b.Crash(tb); err != nil {
-				t.Fatal(err)
-			}
-			if !a.Device().Equal(b.Device()) {
-				t.Fatal("prepare-stage crash leaked state into the image")
-			}
-
-			// Crash after j committed batch requests == serial crash after j.
 			for _, j := range []int{1, 17, 39} {
 				c1, reqs1, t1 := mk()
 				for _, q := range reqs1[:j] {

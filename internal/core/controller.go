@@ -90,7 +90,7 @@ type Controller struct {
 	flight *obs.Ring
 
 	// span, when non-nil, receives per-stage latency attribution for
-	// every timed operation: persistBlock and ReadBlock charge each
+	// every timed operation: PersistBlock and ReadBlock charge each
 	// segment of their critical path (fetch, crypto, tree, WPQ,
 	// persist) so the stage cycles sum exactly to completion − entry.
 	// nil disables charging at one branch per boundary.
@@ -105,7 +105,6 @@ type Controller struct {
 	mWriteCycles *metrics.Histogram
 	mPUBOcc      *metrics.Gauge
 	mWPQOcc      *metrics.Gauge
-	mSpecMisses  *metrics.Gauge
 
 	crashed bool
 	// inADRFlush marks the residual-power drain at crash/shutdown:
@@ -137,15 +136,8 @@ type Controller struct {
 	reencMAC    [32]byte
 	reencMinors []uint8
 
-	// Batched persist pipeline state (scratch and the worker engine
-	// pool), built lazily on the first PersistBatch call and reused
-	// across batches. specMisses counts requests whose speculated
-	// counter missed the actual post-bump value, forcing an inline
-	// recompute at commit — it lives here, not in stats.Stats, so
-	// serial-vs-batched stats snapshots stay bit-equal. mBatchFill is
-	// the thoth_persist_batch_fill histogram (nil without metrics).
-	batch      *batchState
-	specMisses int64
+	// mBatchFill is the thoth_persist_batch_fill histogram (nil
+	// without metrics).
 	mBatchFill *metrics.Histogram
 }
 
@@ -171,8 +163,8 @@ func Attach(cfg config.Config, dev *nvm.Device) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
-	if dev.BlockSize() != cfg.BlockSize || dev.Capacity() < lay.Total {
-		return nil, fmt.Errorf("core: device geometry does not fit layout")
+	if err := lay.CheckDevice(dev); err != nil {
+		return nil, err
 	}
 	c, err := attach(cfg, lay, dev)
 	if err != nil {
@@ -267,9 +259,6 @@ func attach(cfg config.Config, lay *layout.Layout, dev *nvm.Device) (*Controller
 		}
 		c.mWPQOcc = cfg.Metrics.Gauge("thoth_wpq_occupancy",
 			"Live WPQ occupancy in slots (pending + in flight).",
-			metrics.Label{Key: "scheme", Value: c.schemeTag})
-		c.mSpecMisses = cfg.Metrics.Gauge("thoth_spec_misses",
-			"Batched-persist counter speculation misses (inline recomputes).",
 			metrics.Label{Key: "scheme", Value: c.schemeTag})
 	}
 	if sch.UsesPUB() && cfg.PCBAfterWPQ {

@@ -85,28 +85,6 @@ func (c *Controller) ReadBlockAllowEmpty(t int64, addr int64) (int64, []byte) {
 // tree root, and persist per the configured scheme. It returns the cycle
 // at which the write is durable (inside the ADR domain).
 func (c *Controller) PersistBlock(t int64, addr int64, plain []byte) int64 {
-	return c.persistBlock(t, addr, plain, nil)
-}
-
-// preCrypto carries the speculatively computed crypto products of one
-// batched request: the post-bump counter the planner predicted, and the
-// ciphertext, first-level MAC and second-level MAC the crypto stage
-// computed under it. The commit path substitutes them only when the
-// predicted counter matches the actual post-bump value, so a wrong
-// speculation can never change an output byte — it only costs an inline
-// recompute.
-type preCrypto struct {
-	counter crypt.Counter
-	ct      []byte
-	mac1    []byte
-	mac2    uint64
-}
-
-// persistBlock is the single-block persist engine behind PersistBlock
-// and the batch pipeline's commit stage. pre, when non-nil, offers the
-// precomputed crypto products of the batch's parallel crypto stage; nil
-// takes the classic inline path.
-func (c *Controller) persistBlock(t int64, addr int64, plain []byte, pre *preCrypto) int64 {
 	c.checkAlive()
 	if len(plain) != c.cfg.BlockSize {
 		panic(fmt.Sprintf("core: persist of %d bytes, block size is %d", len(plain), c.cfg.BlockSize))
@@ -151,29 +129,10 @@ func (c *Controller) persistBlock(t int64, addr int64, plain []byte, pre *preCry
 	c.tree.Update(ctrIdx, ctrLine.Data)
 	c.markTreeDirty(ctrIdx)
 
-	// Use the batch crypto stage's products when its counter speculation
-	// held; recompute inline otherwise. The modeled timing below is the
-	// same either way — precomputation saves host CPU, not modeled
-	// cycles.
 	ciphertext := c.ctBuf
 	mac1 := c.macBuf[:c.cfg.MACSize()]
-	mac2 := uint64(0)
-	haveMAC2 := false
-	if pre != nil && pre.counter == counter {
-		ciphertext = pre.ct
-		mac1 = pre.mac1
-		mac2 = pre.mac2
-		haveMAC2 = true
-	} else {
-		if pre != nil {
-			c.specMisses++
-			if c.mSpecMisses != nil {
-				c.mSpecMisses.Set(c.specMisses)
-			}
-		}
-		c.eng.EncryptInto(ciphertext, plain, addr, counter)
-		c.eng.MACInto(mac1, ciphertext, addr, counter)
-	}
+	c.eng.EncryptInto(ciphertext, plain, addr, counter)
+	c.eng.MACInto(mac1, ciphertext, addr, counter)
 	macs.Set(macLine.Data, c.lay.MACSlot(addr), c.cfg.MACSize(), mac1)
 
 	// Crypto critical path: OTP generation + first-level MAC + the
@@ -208,8 +167,6 @@ func (c *Controller) persistBlock(t int64, addr int64, plain []byte, pre *preCry
 	w.MACLine = macLine
 	w.Counter = counter
 	w.MAC1 = mac1
-	w.MAC2 = mac2
-	w.HaveMAC2 = haveMAC2
 	w.WasCtrDirty = wasCtrDirty
 	w.WasMACDirty = wasMACDirty
 	done = max64(done, c.sch.PersistMetadata(c, tCrypto, w))

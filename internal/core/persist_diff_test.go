@@ -1,4 +1,4 @@
-// The persist-pipeline sweep lives in an external test package because
+// The batched-persist sweep lives in an external test package because
 // the crashfuzz harness imports the public repro facade, which itself
 // wraps internal/core — an in-package test would close an import cycle.
 package core_test
@@ -10,12 +10,11 @@ import (
 	"repro/internal/crashfuzz"
 )
 
-// TestPersistPipelineDifferential is the acceptance sweep for the
-// batched persist pipeline: 200 seeded workloads (the DeriveCase
+// TestPersistPipelineDifferential is the acceptance sweep for batched
+// persistence: 200 seeded workloads (the DeriveCase
 // distribution mixes uniform and adversarial crash points, both block
 // sizes, and scheme mixes), each executed serially through System.Write
-// and batched through System.PersistBatch at Workers in {1, 2, 4, 8}
-// with seed-derived batch depths and mid-batch crash splits. Every pair
+// and batched through System.PersistBatch with seed-derived batch depths and mid-batch crash splits. Every pair
 // must produce byte-identical crash images, equal statistics snapshots,
 // the same recovery outcome, byte-identical post-recovery images, and
 // identical recovered plaintext for every acknowledged block. Wired
@@ -24,7 +23,7 @@ import (
 func TestPersistPipelineDifferential(t *testing.T) {
 	const seeds = 200
 	sw := crashfuzz.SweepWith(1, seeds, runtime.GOMAXPROCS(0), func(seed int64) *crashfuzz.Result {
-		return crashfuzz.RunPersistPipeline(seed, nil)
+		return crashfuzz.RunPersistPipeline(seed)
 	})
 	if sw.Cases != seeds {
 		t.Fatalf("sweep ran %d cases, want %d", sw.Cases, seeds)

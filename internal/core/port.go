@@ -145,8 +145,8 @@ func (p *Port) Read(arrival, addr int64, dst []byte, span *obs.Span) (int64, err
 	return p.now, nil
 }
 
-// PersistBatch runs device-addressed full-block writes through the
-// batched pipeline, starting at the clock.
+// PersistBatch persists device-addressed full-block writes in order,
+// starting at the clock.
 func (p *Port) PersistBatch(reqs []WriteReq) { p.now = p.ctl.PersistBatch(p.now, reqs) }
 
 // Crash models a power failure at the clock; see Controller.Crash.

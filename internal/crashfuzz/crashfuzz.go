@@ -41,7 +41,7 @@ const (
 	// the serial reference — different device bytes, a different report,
 	// or a different error sentinel.
 	VParallelDiverge
-	// VPersistDiverge: the batched persist pipeline disagrees with the
+	// VPersistDiverge: batched persistence (PersistBatch) disagrees with the
 	// serial PersistBlock path fed the identical trace — a different
 	// crash image, different statistics, a different recovery outcome,
 	// or different recovered plaintext.

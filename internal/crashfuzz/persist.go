@@ -8,15 +8,14 @@ import (
 	"repro/internal/config"
 )
 
-// persistParams are the batching knobs of one serial-vs-pipelined run:
+// persistParams are the batching knobs of one serial-vs-batched run:
 // Depth is the number of accumulated full-block requests that triggers a
 // PersistBatch flush, and Split is how many leading blocks of the op at
 // CrashIdx — the first op the serial prefix never executes — are
 // committed before the crash when that op is a block-aligned write. A
 // non-zero Split models a crash landing mid-batch: the final batch
 // commits a prefix of a logical multi-block update, which the core
-// stage-crash tests prove is exactly "crash after j committed requests"
-// for every earlier pipeline stage.
+// stage-crash test proves is exactly "crash after j committed requests".
 type persistParams struct {
 	Depth int
 	Split int
@@ -51,8 +50,7 @@ func splitBlocksAvail(c Case) int {
 
 // PersistPipelineDiff executes the case's trace prefix under each scheme
 // twice — serially through System.Write and batched through
-// System.PersistBatch at every given worker count (DefaultWorkerCounts
-// when nil) — and crashes both. The batched executor accumulates
+// System.PersistBatch — and crashes both. The batched executor accumulates
 // consecutive block-aligned writes into depth-limited batches and
 // flushes before any read, partial write, corruption or the crash, so
 // the two executions are the same logical request stream. Any
@@ -61,23 +59,19 @@ func splitBlocksAvail(c Case) int {
 // device bytes, or different recovered plaintext for an acknowledged
 // block — is a VPersistDiverge violation. Like RunCase, it never
 // panics.
-func PersistPipelineDiff(c Case, workerCounts []int) *Result {
-	return persistDiffWith(c, workerCounts, persistParamsFor(c))
+func PersistPipelineDiff(c Case) *Result {
+	return persistDiffWith(c, persistParamsFor(c))
 }
 
 // RunPersistPipeline derives the case for a seed and runs the
-// serial-vs-pipelined persist differential over the given worker counts
-// (DefaultWorkerCounts when nil).
-func RunPersistPipeline(seed int64, workerCounts []int) *Result {
-	return PersistPipelineDiff(DeriveCase(seed), workerCounts)
+// serial-vs-batched persist differential.
+func RunPersistPipeline(seed int64) *Result {
+	return PersistPipelineDiff(DeriveCase(seed))
 }
 
 // persistDiffWith is PersistPipelineDiff with the batching knobs pinned
 // (the fuzz target drives them directly).
-func persistDiffWith(c Case, workerCounts []int, p persistParams) *Result {
-	if len(workerCounts) == 0 {
-		workerCounts = DefaultWorkerCounts
-	}
+func persistDiffWith(c Case, p persistParams) *Result {
 	if max := splitBlocksAvail(c); p.Split > max {
 		p.Split = max
 	}
@@ -117,59 +111,57 @@ func persistDiffWith(c Case, workerCounts []int, p persistParams) *Result {
 			}
 		}
 
-		for _, w := range workerCounts {
-			diverge := func(detail string) {
-				res.Violations = append(res.Violations, Violation{
-					VPersistDiverge, sch,
-					fmt.Sprintf("workers=%d depth=%d split=%d: %s", w, p.Depth, p.Split, detail),
-				})
+		diverge := func(detail string) {
+			res.Violations = append(res.Violations, Violation{
+				VPersistDiverge, sch,
+				fmt.Sprintf("depth=%d split=%d: %s", p.Depth, p.Split, detail),
+			})
+		}
+		bImg, bSnap, bviols := batchedPersistImage(c, sch, p)
+		if bImg == nil {
+			for _, v := range bviols {
+				diverge("batched execution failed: " + v.Detail)
 			}
-			bImg, bSnap, bviols := batchedPersistImage(c, sch, w, p)
-			if bImg == nil {
-				for _, v := range bviols {
-					diverge("batched execution failed: " + v.Detail)
-				}
-				continue
-			}
-			if bSnap != snap {
-				diverge(fmt.Sprintf("stats snapshot differs:\nserial:  %+v\nbatched: %+v", snap, bSnap))
-			}
-			bBytes, err := imageBytes(bImg)
-			if err != nil {
-				diverge("image save: " + err.Error())
-				continue
-			}
-			if !bytes.Equal(serialBytes, bBytes) {
-				diverge("crash image differs from serial")
-				continue
-			}
-			bDev := bImg.Clone()
-			_, bErr := thoth.Recover(cfg, bDev)
-			if !sameRecoveryOutcome(serialErr, bErr) {
-				diverge(fmt.Sprintf("recovery outcome differs: serial err=%v, batched err=%v", serialErr, bErr))
-				continue
-			}
-			bRecBytes, err := imageBytes(bDev)
-			if err != nil {
-				diverge("recovered-image save: " + err.Error())
-				continue
-			}
-			if !bytes.Equal(serialRecBytes, bRecBytes) {
-				diverge("post-recovery device image differs from serial")
-				continue
-			}
-			if serialBlocks == nil {
-				continue
-			}
-			bBlocks, err := recoveredBlocks(cfg, bDev, golden)
-			if err != nil {
-				diverge("reopen: " + err.Error())
-				continue
-			}
-			for _, addr := range sortedAddrs(golden) {
-				if !bytes.Equal(serialBlocks[addr], bBlocks[addr]) {
-					diverge(fmt.Sprintf("block %#x recovered differently", addr))
-				}
+			continue
+		}
+		if bSnap != snap {
+			diverge(fmt.Sprintf("stats snapshot differs:\nserial:  %+v\nbatched: %+v", snap, bSnap))
+		}
+		bBytes, err := imageBytes(bImg)
+		if err != nil {
+			diverge("image save: " + err.Error())
+			continue
+		}
+		if !bytes.Equal(serialBytes, bBytes) {
+			diverge("crash image differs from serial")
+			continue
+		}
+		bDev := bImg.Clone()
+		_, bErr := thoth.Recover(cfg, bDev)
+		if !sameRecoveryOutcome(serialErr, bErr) {
+			diverge(fmt.Sprintf("recovery outcome differs: serial err=%v, batched err=%v", serialErr, bErr))
+			continue
+		}
+		bRecBytes, err := imageBytes(bDev)
+		if err != nil {
+			diverge("recovered-image save: " + err.Error())
+			continue
+		}
+		if !bytes.Equal(serialRecBytes, bRecBytes) {
+			diverge("post-recovery device image differs from serial")
+			continue
+		}
+		if serialBlocks == nil {
+			continue
+		}
+		bBlocks, err := recoveredBlocks(cfg, bDev, golden)
+		if err != nil {
+			diverge("reopen: " + err.Error())
+			continue
+		}
+		for _, addr := range sortedAddrs(golden) {
+			if !bytes.Equal(serialBlocks[addr], bBlocks[addr]) {
+				diverge(fmt.Sprintf("block %#x recovered differently", addr))
 			}
 		}
 	}
@@ -221,13 +213,13 @@ func serialPersistImage(c Case, sch config.Scheme, split int) (img *thoth.Device
 	return img, snap, viols
 }
 
-// batchedPersistImage is serialPersistImage through the pipeline:
+// batchedPersistImage is serialPersistImage through PersistBatch:
 // consecutive block-aligned writes accumulate into batches of at most
 // p.Depth requests handed to System.PersistBatch, flushed before any
 // read, partial write, corruption or the crash. The split blocks of the
 // crash op join the final batch, so the crash lands after a committed
 // prefix of it.
-func batchedPersistImage(c Case, sch config.Scheme, workers int, p persistParams) (img *thoth.Device, snap thoth.StatsSnapshot, viols []Violation) {
+func batchedPersistImage(c Case, sch config.Scheme, p persistParams) (img *thoth.Device, snap thoth.StatsSnapshot, viols []Violation) {
 	defer func() {
 		if pan := recover(); pan != nil {
 			img = nil
@@ -235,7 +227,6 @@ func batchedPersistImage(c Case, sch config.Scheme, workers int, p persistParams
 		}
 	}()
 	cfg := c.ConfigFor(sch)
-	cfg.PersistWorkers = workers
 	sys, err := thoth.New(cfg)
 	if err != nil {
 		return nil, snap, append(viols, Violation{VExecError, sch, "new: " + err.Error()})

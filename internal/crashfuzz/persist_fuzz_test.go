@@ -7,7 +7,7 @@ import (
 )
 
 // FuzzPersistPipeline is the native fuzz entry point for the
-// serial-vs-pipelined persist differential:
+// serial-vs-batched persist differential:
 //
 //	go test -fuzz=FuzzPersistPipeline -fuzztime=30s ./internal/crashfuzz
 //
@@ -16,10 +16,9 @@ import (
 // every operation boundary, and a batching selector controlling the
 // flush depth (low byte) and the mid-batch split — how many leading
 // blocks of the first unexecuted op commit before the crash, landing it
-// between the pipeline's commit steps (high bits). Every input runs the
+// between the batch's commit steps (high bits). Every input runs the
 // WTSC/WTBC differential oracle: both eviction policies execute the
-// trace serially and batched at Workers in {1,2,4,8}, and any
-// divergence in crash-image bytes, statistics, recovery outcome or
+// trace serially and batched, and any divergence in crash-image bytes, statistics, recovery outcome or
 // recovered plaintext fails.
 func FuzzPersistPipeline(f *testing.F) {
 	// Corpus spans both block sizes, both crash modes, explicit and
@@ -45,7 +44,7 @@ func FuzzPersistPipeline(f *testing.F) {
 				p.Split = int(s % uint64(avail+1))
 			}
 		}
-		res := persistDiffWith(c, nil, p)
+		res := persistDiffWith(c, p)
 		if res.Failed() {
 			t.Fatalf("\n%s", res)
 		}

@@ -7,14 +7,14 @@ import (
 	"repro/internal/config"
 )
 
-// TestPersistDiffCleanSeeds runs the serial-vs-pipelined persist
+// TestPersistDiffCleanSeeds runs the serial-vs-batched persist
 // differential over a handful of derived cases; any divergence is a
-// pipeline bug (the 200-seed sweep lives in
+// PersistBatch bug (the 200-seed sweep lives in
 // internal/core/persist_diff_test.go, this pins the oracle from the
 // harness side).
 func TestPersistDiffCleanSeeds(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		if res := RunPersistPipeline(seed, nil); res.Failed() {
+		if res := RunPersistPipeline(seed); res.Failed() {
 			t.Fatalf("seed %d:\n%s", seed, res)
 		}
 	}
@@ -48,7 +48,7 @@ func TestPersistDiffSplitSweep(t *testing.T) {
 	avail := splitBlocksAvail(c)
 	for split := 0; split <= avail; split++ {
 		for _, depth := range []int{1, 3, 64} {
-			res := persistDiffWith(c, []int{4}, persistParams{Depth: depth, Split: split})
+			res := persistDiffWith(c, persistParams{Depth: depth, Split: split})
 			if res.Failed() {
 				t.Fatalf("seed %d depth %d split %d:\n%s", c.Seed, depth, split, res)
 			}
@@ -76,7 +76,7 @@ func splitEligibleCase(t *testing.T) Case {
 // executors corrupt the identical intermediate image and recovery fails
 // (or survives) the same way on both sides — no VPersistDiverge.
 func TestPersistDiffTamperFailsIdentically(t *testing.T) {
-	res := PersistPipelineDiff(failingCase(), nil)
+	res := PersistPipelineDiff(failingCase())
 	for _, v := range res.Violations {
 		if v.Kind == VPersistDiverge {
 			t.Fatalf("tampered image must fail identically on both paths:\n%s", res)
@@ -98,7 +98,7 @@ func TestPersistDiffCatchesDivergence(t *testing.T) {
 	if img == nil {
 		t.Fatalf("serial execution failed: %v", viols)
 	}
-	bImg, bSnap, bviols := batchedPersistImage(c, sch, 4, persistParams{Depth: 4, Split: 1})
+	bImg, bSnap, bviols := batchedPersistImage(c, sch, persistParams{Depth: 4, Split: 1})
 	if bImg == nil {
 		t.Fatalf("batched execution failed: %v", bviols)
 	}

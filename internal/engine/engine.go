@@ -344,9 +344,8 @@ func (p *Pool) Read(addr int64, n int) ([]byte, error) {
 }
 
 // PersistBatch persists a batch of full-block writes, scattering the
-// requests to their owning shards (each shard preserves the submission
-// order of its share and runs the batched parallel pipeline of
-// Config.PersistWorkers). The batch is validated before any request
+// requests to their owning shards (each shard persists its share in
+// submission order). The batch is validated before any request
 // commits, so an invalid request leaves the pool untouched.
 func (p *Pool) PersistBatch(reqs []WriteReq) error {
 	p.mu.RLock()

@@ -47,17 +47,6 @@ type RunConfig struct {
 	// instrumentation (write critical-path cycles, PUB occupancy) for
 	// the whole run. It overrides Config.Metrics.
 	Metrics *metrics.Registry
-	// PersistBatchDepth, when >= 2, drives persists through the batched
-	// pipeline (core.PersistBatch): clwb'd and LLC-evicted blocks
-	// accumulate into batches of at most this depth, flushed at fences,
-	// before any NVM read-back, and at crash/verify boundaries. Batched
-	// persists complete back-to-back (chained completion times, exactly
-	// System.Write semantics) instead of the classic driver's
-	// all-start-at-now overlap, so modeled cycle totals differ from
-	// depth <= 1 runs; data integrity, determinism and the golden model
-	// are unchanged (Verify passes either way). 0 or 1 keeps the classic
-	// per-block path.
-	PersistBatchDepth int
 }
 
 // Result is the outcome of one run.
@@ -94,13 +83,6 @@ type Runner struct {
 	persisted map[int64]bool
 	blockBuf  []byte // reused by blockBytes; one borrow live at a time
 
-	// Batched persist path (RunConfig.PersistBatchDepth >= 2): pending
-	// requests plus their payload copies (blockBytes scratch is shared,
-	// so each queued request owns a stable copy until the flush).
-	batchDepth int
-	batch      []core.WriteReq
-	batchBufs  [][]byte
-
 	streams []workload.Workload
 	txCount int64
 }
@@ -125,12 +107,11 @@ func NewRunner(rc RunConfig) (*Runner, error) {
 func newRunnerWith(rc RunConfig, ctl *core.Controller) (*Runner, error) {
 	cfg := rc.Config
 	r := &Runner{
-		cfg:        cfg,
-		ctl:        ctl,
-		bs:         int64(cfg.BlockSize),
-		versions:   make(map[int64]uint64),
-		persisted:  make(map[int64]bool),
-		batchDepth: rc.PersistBatchDepth,
+		cfg:       cfg,
+		ctl:       ctl,
+		bs:        int64(cfg.BlockSize),
+		versions:  make(map[int64]uint64),
+		persisted: make(map[int64]bool),
 	}
 	r.llc = llc.New(cfg.LLCBytes, cfg.BlockSize, cfg.LLCWays, int64(cfg.LLCLatencyCycles), func(addr int64) {
 		// Natural dirty eviction from the LLC: the line leaves the chip
@@ -196,49 +177,10 @@ func (r *Runner) blockBytes(addr int64) []byte {
 }
 
 // persistOut routes one block leaving the chip (clwb or natural LLC
-// eviction) to the controller: directly through PersistBlock on the
-// classic path, or into the pending batch when the batched driver is
-// enabled.
+// eviction) to the controller through PersistBlock.
 func (r *Runner) persistOut(addr int64) {
-	if r.batchDepth >= 2 {
-		r.enqueuePersist(addr)
-		return
-	}
 	done := r.ctl.PersistBlock(r.now, addr, r.blockBytes(addr))
 	r.persisted[addr] = true
-	if done > r.pending {
-		r.pending = done
-	}
-}
-
-// enqueuePersist appends one block to the pending batch, copying the
-// plaintext into a batch-owned buffer (blockBytes scratch is shared),
-// and flushes when the batch reaches the configured depth. The same
-// block may queue twice at different versions; PersistBatch commits
-// requests in order, so the newest version lands last.
-func (r *Runner) enqueuePersist(addr int64) {
-	i := len(r.batch)
-	if i >= len(r.batchBufs) {
-		r.batchBufs = append(r.batchBufs, make([]byte, r.bs))
-	}
-	buf := r.batchBufs[i]
-	copy(buf, r.blockBytes(addr))
-	r.batch = append(r.batch, core.WriteReq{Addr: addr, Data: buf})
-	r.persisted[addr] = true
-	if len(r.batch) >= r.batchDepth {
-		r.flushBatch()
-	}
-}
-
-// flushBatch hands the pending batch to the pipeline. It must run
-// before any NVM read-back (a queued block is not yet on the device),
-// at fences, and at crash/verify boundaries.
-func (r *Runner) flushBatch() {
-	if len(r.batch) == 0 {
-		return
-	}
-	done := r.ctl.PersistBatch(r.now, r.batch)
-	r.batch = r.batch[:0]
 	if done > r.pending {
 		r.pending = done
 	}
@@ -267,7 +209,6 @@ func (r *Runner) Load(addr, size int64) {
 			r.now += r.llc.HitLatency
 			return
 		}
-		r.flushBatch()
 		done, _ := r.ctl.ReadBlock(r.now, b)
 		r.now = done
 	})
@@ -284,7 +225,6 @@ func (r *Runner) Store(addr, size int64) {
 		}
 		// Write-allocate fill, skipped for full-block (streaming) stores.
 		if !full && r.persisted[b] {
-			r.flushBatch()
 			done, _ := r.ctl.ReadBlock(r.now, b)
 			r.now = done
 			return
@@ -308,10 +248,9 @@ func (r *Runner) Persist(addr, size int64) {
 	})
 }
 
-// Fence implements workload.Sink (sfence): any batched persists are
-// issued, then the fence waits for every outstanding persist.
+// Fence implements workload.Sink (sfence): it waits for every
+// outstanding persist.
 func (r *Runner) Fence() {
-	r.flushBatch()
 	if r.pending > r.now {
 		r.now = r.pending
 	}
@@ -342,37 +281,22 @@ func (r *Runner) RunTxs(n int) {
 func (r *Runner) Crash() error {
 	if r.cfg.EADR {
 		r.llc.FlushDirty(func(addr int64) {
-			if r.batchDepth >= 2 {
-				r.enqueuePersist(addr)
-				return
-			}
 			done := r.ctl.PersistBlock(r.now, addr, r.blockBytes(addr))
 			r.persisted[addr] = true
 			if done > r.now {
 				r.now = done
 			}
 		})
-		if r.batchDepth >= 2 {
-			r.flushBatch()
-			if r.pending > r.now {
-				r.now = r.pending
-			}
-		}
 		now, err := r.ctl.Shutdown(r.now)
 		r.now = now
 		return err
 	}
-	// Blocks already handed to the controller (queued this batch window)
-	// are inside the ADR domain at power failure; issue them before the
-	// residual-power flush.
-	r.flushBatch()
 	return r.ctl.Crash(r.now)
 }
 
 // VerifyAll re-reads every persisted block and compares against the
 // plaintext model. It returns the number of verified blocks.
 func (r *Runner) VerifyAll() (int, error) {
-	r.flushBatch()
 	n := 0
 	for addr := range r.persisted {
 		// The LLC may hold a dirtier version than NVM; only blocks whose

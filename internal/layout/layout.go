@@ -20,6 +20,7 @@ import (
 	"fmt"
 
 	"repro/internal/config"
+	"repro/internal/nvm"
 )
 
 // Region identifies which part of the address space an address falls in.
@@ -178,6 +179,20 @@ func New(cfg config.Config) (*Layout, error) {
 		return nil, fmt.Errorf("layout: regions need %d bytes, module has %d", l.Total, cfg.MemBytes)
 	}
 	return l, nil
+}
+
+// CheckDevice reports whether dev has exactly the geometry this layout
+// maps: the configured block size and a capacity of Total bytes (the
+// size core.New builds a device at). Every entry point that interprets
+// an existing device — attaching a controller, recovering a crash
+// image — checks it first, so a configuration that does not match the
+// image is an error rather than a misaligned or out-of-range access.
+func (l *Layout) CheckDevice(dev *nvm.Device) error {
+	if dev.BlockSize() != l.BlockSize || dev.Capacity() != l.Total {
+		return fmt.Errorf("layout: device geometry (block %d B, capacity %d B) does not match the configuration (block %d B, capacity %d B)",
+			dev.BlockSize(), dev.Capacity(), l.BlockSize, l.Total)
+	}
+	return nil
 }
 
 // blocksPerPage returns data blocks covered by one counter block.

@@ -55,13 +55,14 @@ type TracerAdapter struct {
 	pcbFill      *Histogram
 	pubAge       *Histogram
 
-	phaseCycles map[string]*Histogram // phase name -> histogram, read-only after construction
-	stageCycles map[string]*Histogram // persist stage name -> histogram, read-only after construction
+	phaseCycles  map[string]*Histogram // phase name -> histogram, read-only after construction
+	commitCycles *Histogram            // persist commit-stage spans
 
-	mu         sync.Mutex
-	pubFlushAt map[int64]int64  // PUB ring addr -> flush cycle (overwritten on ring reuse)
-	phaseBegin map[string]int64 // phase name -> begin cycle (whole-phase spans only)
-	stageBegin map[string]int64 // persist stage name -> begin cycle
+	mu          sync.Mutex
+	pubFlushAt  map[int64]int64  // PUB ring addr -> flush cycle (overwritten on ring reuse)
+	phaseBegin  map[string]int64 // phase name -> begin cycle (whole-phase spans only)
+	commitBegin int64            // begin cycle of the open commit span
+	commitOpen  bool             // a commit span has begun and not yet ended
 }
 
 // FromTracer registers the derived families in reg and returns the
@@ -82,10 +83,8 @@ func FromTracer(reg *Registry) *TracerAdapter {
 		evictCtr:    make(map[string]*Counter, len(pubEvictOutcomes)),
 		evictMac:    make(map[string]*Counter, len(pubEvictOutcomes)),
 		phaseCycles: make(map[string]*Histogram, 4),
-		stageCycles: make(map[string]*Histogram, 3),
 		pubFlushAt:  make(map[int64]int64),
 		phaseBegin:  make(map[string]int64),
-		stageBegin:  make(map[string]int64),
 	}
 	for _, k := range obs.Kinds() {
 		a.events[k] = reg.Counter("thoth_events_total",
@@ -116,11 +115,9 @@ func FromTracer(reg *Registry) *TracerAdapter {
 			"Modeled cycles per recovery phase (whole-phase spans).",
 			Label{"phase", phase})
 	}
-	for _, stage := range []string{obs.StagePlan, obs.StageCrypto, obs.StageCommit} {
-		a.stageCycles[stage] = reg.Histogram("thoth_persist_stage_cycles",
-			"Modeled cycles per persist pipeline stage span.",
-			Label{"stage", stage})
-	}
+	a.commitCycles = reg.Histogram("thoth_persist_stage_cycles",
+		"Modeled cycles per persist pipeline stage span.",
+		Label{"stage", obs.StageCommit})
 	return a
 }
 
@@ -155,21 +152,20 @@ func (a *TracerAdapter) Emit(e obs.Event) {
 		a.drainCounter(e.Detail).Inc()
 		a.wpqResidency.Observe(e.Aux)
 	case obs.KindPersistStage:
-		h := a.stageCycles[e.Part]
-		if h == nil {
+		if e.Part != obs.StageCommit {
 			return
 		}
 		switch e.Detail {
 		case obs.PhaseBegin:
 			a.mu.Lock()
-			a.stageBegin[e.Part] = e.Cycle
+			a.commitBegin, a.commitOpen = e.Cycle, true
 			a.mu.Unlock()
 		case obs.PhaseEnd:
 			a.mu.Lock()
-			begin, ok := a.stageBegin[e.Part]
+			begin, ok := a.commitBegin, a.commitOpen
 			a.mu.Unlock()
 			if ok {
-				h.Observe(e.Cycle - begin)
+				a.commitCycles.Observe(e.Cycle - begin)
 			}
 		}
 	case obs.KindRecoveryPhase:

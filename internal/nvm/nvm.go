@@ -195,9 +195,9 @@ func (d *Device) Peek(addr int64) []byte {
 
 // PeekInto is Peek into caller-owned scratch: it copies the block at the
 // given block-aligned byte address into dst (exactly one block long)
-// without touching the read counter and without allocating. The batched
-// persist planner uses it to speculate counter state without perturbing
-// device statistics.
+// without touching the read counter and without allocating. Page
+// re-encryption uses it to transcrypt blocks without perturbing device
+// statistics.
 func (d *Device) PeekInto(dst []byte, addr int64) {
 	if len(dst) != d.blockSize {
 		panic(fmt.Sprintf("nvm: peek into %d bytes, block size is %d", len(dst), d.blockSize))

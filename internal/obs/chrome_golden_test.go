@@ -25,8 +25,6 @@ var goldenEvents = []Event{
 	{Kind: KindRecoveryPhase, Cycle: 600, Aux: 0, Scheme: "thoth-wtsc", Part: PhaseScan, Detail: PhaseEnd},
 	{Kind: KindRecoveryPhase, Cycle: 600, Aux: 2, Scheme: "thoth-wtsc", Part: PhaseMerge, Detail: PhaseBegin},
 	{Kind: KindRecoveryPhase, Cycle: 6480, Aux: 2, Scheme: "thoth-wtsc", Part: PhaseMerge, Detail: PhaseEnd},
-	{Kind: KindPersistStage, Cycle: 9000, Aux: 64, Scheme: "thoth-wtsc", Part: StageCrypto, Detail: PhaseBegin},
-	{Kind: KindPersistStage, Cycle: 9000, Aux: 64, Scheme: "thoth-wtsc", Part: StageCrypto, Detail: PhaseEnd},
 	{Kind: KindPersistStage, Cycle: 9000, Aux: 64, Scheme: "thoth-wtsc", Part: StageCommit, Detail: PhaseBegin},
 	{Kind: KindPersistStage, Cycle: 10200, Aux: 64, Scheme: "thoth-wtsc", Part: StageCommit, Detail: PhaseEnd},
 }

@@ -75,12 +75,11 @@ const (
 	// engine. The Chrome exporter renders begin/end pairs as duration
 	// slices on per-shard tracks.
 	KindRecoveryPhase
-	// KindPersistStage: a stage of the batched persist pipeline started
-	// or finished. Part is the stage name (StagePlan, StageCrypto,
-	// StageCommit), Detail is PhaseBegin or PhaseEnd, Cycle is the
-	// modeled cycle at the boundary, and Aux is the number of requests
-	// in the batch. The Chrome exporter renders begin/end pairs as
-	// duration slices on a dedicated pipeline track.
+	// KindPersistStage: a persist batch started or finished committing.
+	// Part is the stage name (StageCommit), Detail is PhaseBegin or
+	// PhaseEnd, Cycle is the modeled cycle at the boundary, and Aux is
+	// the number of requests in the batch. The Chrome exporter renders
+	// begin/end pairs as duration slices on a dedicated pipeline track.
 	KindPersistStage
 	numKinds
 )
@@ -170,25 +169,13 @@ func isPhaseName(name string) bool {
 	return false
 }
 
-// Persist pipeline stage names (Event.Part for KindPersistStage).
-const (
-	// StagePlan: the serial planning pass speculating post-bump counters.
-	StagePlan = "plan"
-	// StageCrypto: the parallel pad/MAC fan-out across worker engines.
-	StageCrypto = "crypto"
-	// StageCommit: the serial in-order commit of the planned requests.
-	StageCommit = "commit"
-)
+// StageCommit is the persist stage name (Event.Part for
+// KindPersistStage): the in-order commit of a PersistBatch.
+const StageCommit = "commit"
 
-// isStageName reports whether name is one of the persist pipeline stage
-// labels (used by the Chrome validator for "B"/"E" duration elements).
-func isStageName(name string) bool {
-	switch name {
-	case StagePlan, StageCrypto, StageCommit:
-		return true
-	}
-	return false
-}
+// isStageName reports whether name is a persist stage label (used by
+// the Chrome validator for "B"/"E" duration elements).
+func isStageName(name string) bool { return name == StageCommit }
 
 // WPQ drain reasons (Event.Detail for KindWPQDrain).
 const (

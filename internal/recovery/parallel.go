@@ -126,6 +126,9 @@ func RecoverParallel(cfg config.Config, dev *nvm.Device, opts RecoverOpts) (*Rep
 	if err != nil {
 		return nil, err
 	}
+	if err := lay.CheckDevice(dev); err != nil {
+		return nil, err
+	}
 	rep := &Report{Workers: workers}
 
 	savedRoot, err := core.LoadRoot(cfg.BlockSize, lay.CtlBase, dev.Peek)

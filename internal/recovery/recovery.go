@@ -179,6 +179,9 @@ func Recover(cfg config.Config, dev *nvm.Device) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := lay.CheckDevice(dev); err != nil {
+		return nil, err
+	}
 	eng := crypt.NewEngine(cfg.Seed)
 	rep := &Report{}
 

@@ -81,10 +81,7 @@ func (th *thoth) PersistMetadata(h Host, t int64, w *WriteCtx) int64 {
 	w.CtrLine.Dirty = true
 	w.MACLine.Dirty = true
 
-	mac2 := w.MAC2
-	if !w.HaveMAC2 {
-		mac2 = h.MAC2(w.MAC1)
-	}
+	mac2 := h.MAC2(w.MAC1)
 	t += h.HashLatency() // second-level MAC computation
 
 	var status uint8

@@ -189,10 +189,9 @@ const (
 	// phase, shard+1 for a parallel worker's slice). The Chrome exporter
 	// renders these as duration spans on per-shard tracks.
 	TraceRecoveryPhase = obs.KindRecoveryPhase
-	// TracePersistStage: a batched-persist pipeline stage boundary (Part
-	// is plan, crypto or commit; Detail is begin or end; Aux is the batch
-	// size). The Chrome exporter renders these as duration spans on a
-	// dedicated pipeline track.
+	// TracePersistStage: a PersistBatch commit boundary (Part is commit;
+	// Detail is begin or end; Aux is the batch size). The Chrome exporter
+	// renders these as duration spans on a dedicated pipeline track.
 	TracePersistStage = obs.KindPersistStage
 )
 
@@ -326,15 +325,10 @@ func (s *System) Write(addr int64, data []byte) error {
 // Pool.PersistBatch share the type.
 type WriteReq = engine.WriteReq
 
-// PersistBatch persists a batch of full-block writes through the batched
-// parallel pipeline: pad generation and MAC computation fan out across
-// Config.PersistWorkers goroutines (grouped by metadata group so
-// same-group requests stay together), while counter bumps, tree updates,
-// PCB insertion and PUB posting commit serially in request order. The
-// device image, statistics and modeled cycles are bit-identical to
-// calling Write for each request in order — for any worker count — and
-// requests become durable in order. Parallelism saves host CPU on the
-// simulator's real crypto work, not modeled cycles.
+// PersistBatch persists a batch of full-block writes in request order.
+// The device image, statistics and modeled cycles are bit-identical to
+// calling Write for each request in order, and requests become durable
+// in order.
 //
 // Every request must be block-aligned and exactly one block long
 // (PersistBatch is the aligned fast path; Write handles read-modify-

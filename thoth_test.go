@@ -381,3 +381,63 @@ func TestReplayAPI(t *testing.T) {
 		t.Fatalf("replay result %+v implausible", res)
 	}
 }
+
+// TestGeometryMismatchRejected pins that a configuration whose geometry
+// does not match a crash image is an error at every entry point that
+// interprets the image — never a panic inside recovery and never a
+// silently accepted attach.
+func TestGeometryMismatchRejected(t *testing.T) {
+	cfg := testConfig(WTSC)
+	cfg.MemBytes = 64 << 20
+	s := mustSys(t, cfg)
+	for i := 0; i < 200; i++ {
+		if err := s.Write(int64(i%29)*4096, bytes.Repeat([]byte{byte(i)}, 128)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	img, err := s.Crash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recoverSerial := func(c Config, d *Device) error { _, err := Recover(c, d); return err }
+	recoverParallel := func(c Config, d *Device) error {
+		_, err := RecoverParallel(c, d, RecoverOpts{Workers: 2})
+		return err
+	}
+	open := func(c Config, d *Device) error { _, err := Open(c, d); return err }
+	with := func(mut func(*Config)) Config { c := cfg; mut(&c); return c }
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		entry   func(Config, *Device) error
+		wantErr bool
+	}{
+		{"recover block size", with(func(c *Config) { c.BlockSize = 64 }), recoverSerial, true},
+		{"recover-parallel block size", with(func(c *Config) { c.BlockSize = 64 }), recoverParallel, true},
+		{"recover larger module", with(func(c *Config) { c.MemBytes = 1 << 28 }), recoverSerial, true},
+		{"recover-parallel larger module", with(func(c *Config) { c.MemBytes = 1 << 28 }), recoverParallel, true},
+		{"open smaller module", with(func(c *Config) { c.MemBytes = 1 << 24 }), open, true},
+		{"recover matching", cfg, recoverSerial, false},
+		{"recover-parallel matching", cfg, recoverParallel, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("panicked: %v", p)
+				}
+			}()
+			err := tc.entry(tc.cfg, img.Clone())
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("err = %v, want error %v", err, tc.wantErr)
+			}
+		})
+	}
+	// The matching configuration reopens the recovered image.
+	dev := img.Clone()
+	if err := recoverSerial(cfg, dev); err != nil {
+		t.Fatal(err)
+	}
+	if err := open(cfg, dev); err != nil {
+		t.Fatalf("matching config rejected: %v", err)
+	}
+}
