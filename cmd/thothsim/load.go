@@ -15,9 +15,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/config"
@@ -94,10 +92,7 @@ func runLoad(args []string, stdout, stderr io.Writer) int {
 		"stop at this much modeled time in milliseconds (0 = the op budget alone; "+
 			"when set without -ops the op budget is lifted)")
 	seed := fs.Int64("seed", 0, "scenario seed override (0 = the scenario default)")
-	schemeStr := fs.String("scheme", "thoth-wtsc",
-		"persistence scheme: "+strings.Join(scheme.Names(), "|"))
-	block := fs.Int("block", 128, "cache block size in bytes (64|128|256)")
-	pubKiB := fs.Int64("pub", 1024, "PUB size in KiB")
+	machine := machineFlags(fs)
 	top := fs.Int("top", 0, "also report the N tenants with the worst p99")
 	check := fs.Bool("check", false,
 		"record the raw latency stream and verify every histogram percentile "+
@@ -134,15 +129,11 @@ func runLoad(args []string, stdout, stderr io.Writer) int {
 		scn.Seed = *seed
 	}
 
-	sch, err := scheme.Parse(*schemeStr)
+	cfg, err := machine()
 	if err != nil {
 		fmt.Fprintln(stderr, "thothsim load:", err)
 		return 1
 	}
-	cfg := config.Default().WithScheme(sch).WithBlockSize(*block)
-	cfg.MemBytes = 1 << 30
-	cfg.PUBBytes = *pubKiB << 10
-	cfg.LLCBytes = 1 << 20
 
 	if *durationMs > 0 {
 		scn.DurationCycles = int64(*durationMs * cfg.CPUFreqGHz * 1e6)
@@ -172,7 +163,7 @@ func runLoad(args []string, stdout, stderr io.Writer) int {
 		nShards = 1
 	}
 	fmt.Fprintf(stdout, "load scenario=%s scheme=%v block=%dB tenants=%d shards=%d seed=%d\n",
-		scn.Name, sch, *block, scn.Tenants, nShards, scn.Seed)
+		scn.Name, cfg.Scheme, cfg.BlockSize, scn.Tenants, nShards, scn.Seed)
 
 	start := time.Now()
 	if err := runLoadLoop(d, reg, *progress, stderr); err != nil {
@@ -305,34 +296,15 @@ func printAttribution(w io.Writer, a loadgen.Attribution, top int) {
 	}
 }
 
-// loadServeSim is the load-generator-backed serving simulation behind
-// `thothsim serve -load <scenario>`: rounds issue a fixed number of
-// open-loop ops while the HTTP handlers read the shared registry — the
-// aggregate and per-tenant latency histograms (thoth_loadgen_* families)
-// are live, so /metrics exposes per-tenant percentiles mid-run. The
-// /statsz snapshot is refreshed at round boundaries under a mutex
-// because Summary reads driver state the generator mutates.
-type loadServeSim struct {
-	reg      *metrics.Registry
-	d        *loadgen.Driver
-	info     scheme.Info
-	shards   int
-	roundOps int
-	sampler  *metrics.Sampler
-
-	mu     sync.Mutex
-	sum    loadgen.Summary
-	rounds int64
-}
-
-// newLoadServeSim builds the driver over a fresh controller (or pool at
-// -shards N) with the serve registry attached; the scenario's op and
-// duration budgets are lifted — serve mode runs rounds until
+// newLoadSim builds the load-generator-backed sim behind `thothsim
+// serve -load <scenario>`: rounds issue a fixed number of open-loop ops
+// against a fresh controller (or a pool at shards > 1) while the HTTP
+// handlers read the shared registry — the aggregate and per-tenant
+// latency histograms (thoth_loadgen_* families) are live, so /metrics
+// exposes per-tenant percentiles mid-run. The scenario's op and
+// duration budgets are lifted: serve mode runs rounds until
 // interrupted.
-func newLoadServeSim(cfg config.Config, scenario string, tenants, shards, roundOps int, sampleEvery int64) (*loadServeSim, error) {
-	if roundOps <= 0 {
-		return nil, fmt.Errorf("serve: round size %d must be positive", roundOps)
-	}
+func newLoadSim(cfg config.Config, scenario string, tenants, shards, roundOps int, sampleEvery int64) (*serveSim, error) {
 	scn, err := loadgen.ScenarioByName(scenario)
 	if err != nil {
 		return nil, err
@@ -356,96 +328,33 @@ func newLoadServeSim(cfg config.Config, scenario string, tenants, shards, roundO
 	if err != nil {
 		return nil, err
 	}
-	nShards := shards
-	if nShards < 1 {
-		nShards = 1
-	}
-	s := &loadServeSim{
-		reg:      reg,
-		d:        d,
-		info:     lt.info,
-		shards:   nShards,
-		roundOps: roundOps,
-		sampler:  metrics.NewSampler(reg, sampleEvery, 0, nil),
-	}
-	s.publish()
-	return s, nil
-}
-
-// round issues one round of open-loop ops and refreshes the snapshot.
-func (s *loadServeSim) round() error {
-	if _, err := s.d.RunOps(int64(s.roundOps)); err != nil {
+	step := func() error {
+		_, err := d.RunOps(int64(roundOps))
 		return err
 	}
-	s.publish()
-	return nil
-}
-
-func (s *loadServeSim) publish() {
-	sum := s.d.Summary()
-	s.mu.Lock()
-	s.sum = sum
-	s.rounds++
-	s.mu.Unlock()
-	s.sampler.Tick(sum.Cycles)
-}
-
-func (s *loadServeSim) schemeInfo() scheme.Info { return s.info }
-
-func (s *loadServeSim) now() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sum.Cycles
-}
-
-func (s *loadServeSim) mux() *http.ServeMux {
-	return buildServeMux(s.reg, func() any { return s.statsz() }, s.sampler)
-}
-
-// loadStatsz is the JSON document served at /statsz in load mode. The
-// percentiles are strings because an empty histogram's quantile is +Inf,
-// which JSON cannot encode as a number.
-type loadStatsz struct {
-	Scheme           string `json:"scheme"`
-	SchemeGuarantees string `json:"scheme_guarantees"`
-	Scenario         string `json:"scenario"`
-	Tenants          int    `json:"tenants"`
-	Shards           int    `json:"shards"`
-	Rounds           int64  `json:"rounds"`
-	Cycle            int64  `json:"cycle"`
-	Ops              int64  `json:"ops"`
-	Reads            int64  `json:"reads"`
-	Writes           int64  `json:"writes"`
-	WriteP50         string `json:"write_p50_cycles"`
-	WriteP95         string `json:"write_p95_cycles"`
-	WriteP99         string `json:"write_p99_cycles"`
-	ReadP99          string `json:"read_p99_cycles"`
-	WorstTenant      string `json:"worst_tenant"`
-	WorstTenantP99   string `json:"worst_tenant_p99_cycles"`
-	EventHash        string `json:"event_stream_sha256"`
-}
-
-func (s *loadServeSim) statsz() loadStatsz {
-	s.mu.Lock()
-	sum, rounds := s.sum, s.rounds
-	s.mu.Unlock()
-	return loadStatsz{
-		Scheme:           s.info.Name,
-		SchemeGuarantees: s.info.Guarantees,
-		Scenario:         sum.Scenario,
-		Tenants:          sum.Tenants,
-		Shards:           s.shards,
-		Rounds:           rounds - 1, // the constructor's initial publish is round 0
-		Cycle:            sum.Cycles,
-		Ops:              sum.Ops,
-		Reads:            sum.Reads,
-		Writes:           sum.Writes,
-		WriteP50:         loadQuant(sum.WriteP50),
-		WriteP95:         loadQuant(sum.WriteP95),
-		WriteP99:         loadQuant(sum.WriteP99),
-		ReadP99:          loadQuant(sum.ReadP99),
-		WorstTenant:      fmt.Sprintf("%04d", sum.WorstTenant),
-		WorstTenantP99:   loadQuant(sum.WorstP99),
-		EventHash:        sum.EventHash,
+	snapshot := func() (statsz, error) {
+		st, err := lt.stats()
+		if err != nil {
+			return statsz{}, err
+		}
+		sum := d.Summary()
+		doc := newStatsz(st, sum.Cycles)
+		doc.StatszLoad = &StatszLoad{
+			Scenario:       sum.Scenario,
+			Tenants:        sum.Tenants,
+			Shards:         max(shards, 1),
+			Ops:            sum.Ops,
+			Reads:          sum.Reads,
+			Writes:         sum.Writes,
+			WriteP50:       loadQuant(sum.WriteP50),
+			WriteP95:       loadQuant(sum.WriteP95),
+			WriteP99:       loadQuant(sum.WriteP99),
+			ReadP99:        loadQuant(sum.ReadP99),
+			WorstTenant:    fmt.Sprintf("%04d", sum.WorstTenant),
+			WorstTenantP99: loadQuant(sum.WorstP99),
+			EventHash:      sum.EventHash,
+		}
+		return doc, nil
 	}
+	return startServeSim(reg, lt.info, "ops", roundOps, sampleEvery, step, snapshot)
 }

@@ -120,7 +120,7 @@ func TestLoadRejectsBadFlags(t *testing.T) {
 // and per-tenant latency histograms) are scrapeable mid-run and /statsz
 // carries the open-loop snapshot.
 func TestServeLoadEndpoints(t *testing.T) {
-	sim, err := newLoadServeSim(serveTestConfig(), "steady", 4, 0, 80, serveSampleCycles)
+	sim, err := newLoadSim(serveTestConfig(), "steady", 4, 0, 80, serveSampleCycles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,9 +154,12 @@ func TestServeLoadEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /statsz: %s", resp.Status)
 	}
-	var got loadStatsz
+	var got statsz
 	if err := json.Unmarshal(body, &got); err != nil {
 		t.Fatalf("/statsz is not valid JSON: %v\n%s", err, body)
+	}
+	if got.StatszLoad == nil || got.StatszHarness != nil {
+		t.Fatalf("load /statsz must carry exactly the load part:\n%s", body)
 	}
 	if got.Scenario != "steady" || got.Tenants != 4 || got.Rounds != 1 {
 		t.Errorf("statsz identity = %s/%d tenants/round %d, want steady/4/1",
@@ -182,7 +185,7 @@ func TestRunServeLoadCLI(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errw.String())
 	}
-	for _, want := range []string{"serving workload=load(hotkey)", "completed 2 rounds"} {
+	for _, want := range []string{"serving workload=load(hotkey)", "completed 2 rounds (120 ops)"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output missing %q:\n%s", want, out.String())
 		}

@@ -12,11 +12,13 @@
 //	thothsim -shards 4 -crash                # crash a shard subset + recover
 //
 // The serve subcommand turns the batch simulator into an observable
-// long-running process: it runs workload rounds forever (or for
-// -rounds) while serving live Prometheus metrics, a JSON stats
-// snapshot, expvar and pprof over HTTP:
+// long-running process: it runs workload rounds (or, with -load, rounds
+// of open-loop ops against one controller or a -shards N pool) forever
+// or for -rounds, while serving live Prometheus metrics, a JSON stats
+// snapshot, a gauge time series, expvar and pprof over HTTP:
 //
 //	thothsim serve -addr 127.0.0.1:8077 -workload btree
+//	thothsim serve -load steady -shards 4   # live pool, per-shard families
 //	curl localhost:8077/metrics
 //
 // The load subcommand replaces the closed-loop harness with an
@@ -53,15 +55,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fs := flag.NewFlagSet("thothsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	machine := machineFlags(fs)
 	wl := fs.String("workload", "btree", "benchmark: btree|ctree|hashmap|rbtree|swap")
-	schemeStr := fs.String("scheme", "thoth-wtsc",
-		"persistence scheme: "+strings.Join(scheme.Names(), "|"))
-	block := fs.Int("block", 128, "cache block size in bytes (64|128|256)")
 	tx := fs.Int("tx", 128, "transaction size in bytes")
 	txs := fs.Int("txs", 6000, "measured transactions")
 	warmup := fs.Int("warmup", 1200, "warm-up transactions")
 	setup := fs.Int("setup", 16384, "benchmark population")
-	pubKiB := fs.Int64("pub", 1024, "PUB size in KiB (paper default 65536)")
 	ctrKiB := fs.Int("ctr-cache", 64, "counter cache KiB")
 	macKiB := fs.Int("mac-cache", 128, "MAC cache KiB")
 	wpqEntries := fs.Int("wpq", 64, "WPQ entries (PCB takes 1/8 under Thoth)")
@@ -91,21 +90,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	sch, err := scheme.Parse(*schemeStr)
+	cfg, err := machine()
 	if err != nil {
 		fmt.Fprintln(stderr, "thothsim:", err)
 		return 1
 	}
-
-	cfg := config.Default().
-		WithScheme(sch).
-		WithBlockSize(*block).
+	cfg = cfg.
 		WithTxSize(*tx).
 		WithWPQ(*wpqEntries).
 		WithMetadataCaches(*ctrKiB<<10, *macKiB<<10)
-	cfg.MemBytes = 1 << 30
-	cfg.PUBBytes = *pubKiB << 10
-	cfg.LLCBytes = 1 << 20
 	cfg.ShadowTracking = *shadow
 	cfg.EADR = *eadr
 
@@ -156,11 +149,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	fmt.Fprintf(stdout, "workload=%s scheme=%v block=%dB tx=%dB\n", *wl, sch, *block, *tx)
+	fmt.Fprintf(stdout, "workload=%s scheme=%v block=%dB tx=%dB\n", *wl, cfg.Scheme, cfg.BlockSize, *tx)
 	fmt.Fprintf(stdout, "cycles=%d (%.3f ms at %.0f GHz) txs=%d\n",
 		res.Cycles, float64(res.Cycles)/(cfg.CPUFreqGHz*1e6), cfg.CPUFreqGHz, *txs)
 	fmt.Fprintln(stdout, res.Stats.String())
-	if sch.IsThoth() {
+	if cfg.Scheme.IsThoth() {
 		fmt.Fprintf(stdout, "pcb-merge-rate=%.1f%%\n", 100*res.PCBMergeRate)
 	}
 
@@ -190,6 +183,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, rep)
 	}
 	return 0
+}
+
+// machineFlags registers the -scheme, -block and -pub flags every
+// thothsim mode shares and returns the builder that turns them into the
+// simulated machine: a 1 GiB module behind a 1 MiB LLC.
+func machineFlags(fs *flag.FlagSet) func() (config.Config, error) {
+	schemeStr := fs.String("scheme", "thoth-wtsc",
+		"persistence scheme: "+strings.Join(scheme.Names(), "|"))
+	block := fs.Int("block", 128, "cache block size in bytes (64|128|256)")
+	pubKiB := fs.Int64("pub", 1024, "PUB size in KiB (paper default 65536)")
+	return func() (config.Config, error) {
+		sch, err := scheme.Parse(*schemeStr)
+		if err != nil {
+			return config.Config{}, err
+		}
+		cfg := config.Default().WithScheme(sch).WithBlockSize(*block)
+		cfg.MemBytes = 1 << 30
+		cfg.PUBBytes = *pubKiB << 10
+		cfg.LLCBytes = 1 << 20
+		return cfg, nil
+	}
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }

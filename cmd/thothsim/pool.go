@@ -1,27 +1,21 @@
 package main
 
-// The -shards modes: instead of the single-controller workload harness,
-// drive a sharded engine.Pool with seeded random block persists and
-// report aggregate throughput. The batch mode (`thothsim -shards N`)
-// measures ops/sec and optionally crashes a shard subset and recovers
-// it; the serve mode (`thothsim serve -shards N`) runs persist rounds
-// forever behind the same /metrics, /statsz and /debug endpoints, with
-// the engine's per-shard families (thoth_pool_shard_*) live in the
-// registry.
+// The -shards mode (`thothsim -shards N`): instead of the
+// single-controller workload harness, drive a sharded engine.Pool with
+// seeded random block persists, report aggregate throughput, and
+// optionally crash a shard subset and recover it. A live sharded pool
+// is served by `thothsim serve -load <scenario> -shards N`, which puts
+// the engine's per-shard families (thoth_pool_shard_*) on /metrics.
 
 import (
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	thoth "repro"
 	"repro/internal/config"
-	"repro/internal/metrics"
-	"repro/internal/scheme"
-	"repro/internal/stats"
 )
 
 // dumpFlight writes one flight-recorder snapshot as a JSONL trace file
@@ -206,123 +200,4 @@ func runPoolBench(cfg config.Config, shards, blocks, depth int, crash, verify bo
 	}
 	fmt.Fprintf(stdout, "recovery verified: %d blocks match the pre-crash payloads\n", len(golden))
 	return 0
-}
-
-// poolServeSim is the pool-backed serving simulation behind
-// `thothsim serve -shards N`: rounds persist seeded random blocks
-// through the sharded engine while the HTTP handlers read the shared
-// registry (per-shard thoth_pool_shard_* families included, fed by the
-// engine itself).
-type poolServeSim struct {
-	reg         *metrics.Registry
-	pool        *thoth.Pool
-	cfg         config.Config
-	roundBlocks int
-	rng         *poolRNG
-	sampler     *metrics.Sampler
-
-	mu     sync.Mutex
-	snap   stats.Stats
-	rounds int64
-	blocks int64
-	cycle  int64
-}
-
-func newPoolServeSim(cfg config.Config, shards, roundBlocks int, sampleEvery int64) (*poolServeSim, error) {
-	if roundBlocks <= 0 {
-		return nil, fmt.Errorf("serve: round size %d must be positive", roundBlocks)
-	}
-	reg := metrics.New()
-	cfg.Metrics = reg
-	pool, err := thoth.NewPool(cfg, shards)
-	if err != nil {
-		return nil, fmt.Errorf("serve: pool: %w", err)
-	}
-	s := &poolServeSim{
-		reg:         reg,
-		pool:        pool,
-		cfg:         cfg,
-		roundBlocks: roundBlocks,
-		rng:         &poolRNG{s: uint64(cfg.Seed)},
-		sampler:     metrics.NewSampler(reg, sampleEvery, 0, nil),
-	}
-	if err := s.publishSnap(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-func (s *poolServeSim) round() error {
-	if err := s.pool.PersistBatch(poolBatch(s.pool, s.rng, s.roundBlocks, nil)); err != nil {
-		return err
-	}
-	return s.publishSnap()
-}
-
-func (s *poolServeSim) publishSnap() error {
-	snap, err := s.pool.Stats()
-	if err != nil {
-		return err
-	}
-	cycle, err := s.pool.Elapsed()
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	if s.rounds > 0 { // the constructor's publish precedes any round
-		s.blocks += int64(s.roundBlocks)
-	}
-	s.snap = snap
-	s.rounds++
-	s.cycle = cycle
-	s.mu.Unlock()
-	s.sampler.Tick(cycle)
-	return nil
-}
-
-func (s *poolServeSim) schemeInfo() scheme.Info { return s.pool.SchemeInfo() }
-
-func (s *poolServeSim) now() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cycle
-}
-
-// poolStatsz is the JSON document served at /statsz in pool mode.
-type poolStatsz struct {
-	Scheme           string  `json:"scheme"`
-	SchemeGuarantees string  `json:"scheme_guarantees"`
-	Shards           int     `json:"shards"`
-	Rounds           int64   `json:"rounds"`
-	Cycle            int64   `json:"cycle"`
-	BlocksPersisted  int64   `json:"blocks_persisted"`
-	TotalWrites      int64   `json:"total_writes"`
-	NVMReads         int64   `json:"nvm_reads"`
-	CtrHitRate       float64 `json:"ctr_hit_rate"`
-	MACHitRate       float64 `json:"mac_hit_rate"`
-	MTHitRate        float64 `json:"mt_hit_rate"`
-	PUBEvictions     int64   `json:"pub_evictions"`
-	CtrOverflows     int64   `json:"ctr_overflows"`
-}
-
-func (s *poolServeSim) statsz() poolStatsz {
-	s.mu.Lock()
-	snap, rounds, blocks, cycle := s.snap, s.rounds, s.blocks, s.cycle
-	s.mu.Unlock()
-	info := s.pool.SchemeInfo()
-	return poolStatsz{
-		Scheme:           info.Name,
-		SchemeGuarantees: info.Guarantees,
-		Shards:           s.pool.Shards(),
-		Rounds:           rounds - 1, // the constructor's initial publish is round 0
-		Cycle:            cycle,
-		BlocksPersisted:  blocks,
-		TotalWrites:      snap.TotalWrites(),
-		NVMReads:         snap.NVMReads,
-		CtrHitRate:       snap.CtrHitRate(),
-		MACHitRate:       snap.MACHitRate(),
-		MTHitRate:        snap.MTHitRate(),
-		PUBEvictions:     snap.PUBEvictions,
-		CtrOverflows:     snap.CtrOverflows,
-	}
 }

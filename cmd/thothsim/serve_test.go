@@ -177,6 +177,9 @@ func TestServeStatsz(t *testing.T) {
 	if got.Cycle <= 0 || got.TotalWrites <= 0 {
 		t.Errorf("statsz progress not positive: cycle=%d writes=%d", got.Cycle, got.TotalWrites)
 	}
+	if got.StatszLoad != nil {
+		t.Errorf("harness /statsz carries the load part: %s", body)
+	}
 }
 
 func TestServeDebugEndpoints(t *testing.T) {
@@ -259,7 +262,7 @@ func TestRunServeCLI(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errw.String())
 	}
-	for _, want := range []string{"serving workload=swap", "/metrics", "completed 2 rounds"} {
+	for _, want := range []string{"serving workload=swap", "/metrics", "/timeseries", "completed 2 rounds (100 txs)"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output missing %q:\n%s", want, out.String())
 		}
@@ -295,7 +298,7 @@ func TestServeWithListenerFailure(t *testing.T) {
 	}
 	ln.Close() // srv.Serve fails on the first Accept
 	var out, errw bytes.Buffer
-	if code := serveWith(sim, ln, 0, 50, &out, &errw); code != 1 {
+	if code := serveWith(sim, ln, 0, &out, &errw); code != 1 {
 		t.Fatalf("exit %d, want 1 (stdout: %s)", code, out.String())
 	}
 	if !strings.Contains(errw.String(), "thothsim serve:") {
@@ -314,14 +317,32 @@ func TestRunServeRejectsBadFlags(t *testing.T) {
 	if code := run([]string{"serve", "-round", "0", "-rounds", "1"}, &out, &errw); code != 1 {
 		t.Fatalf("zero round size: exit %d, want 1", code)
 	}
+	// Flags that would otherwise be silently ignored are usage errors.
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"serve", "-rounds", "-1"}, "-rounds"},
+		{[]string{"serve", "-tenants", "4", "-rounds", "1"}, "-load"},
+		{[]string{"serve", "-shards", "2", "-rounds", "1"}, "-load"},
+	} {
+		out.Reset()
+		errw.Reset()
+		if code := run(tc.args, &out, &errw); code != 2 {
+			t.Errorf("%v: exit %d, want 2 (stdout: %s)", tc.args, code, out.String())
+		}
+		if !strings.Contains(errw.String(), tc.want) {
+			t.Errorf("%v: usage error does not name %s: %q", tc.args, tc.want, errw.String())
+		}
+	}
 }
 
-// TestServePoolEndpoints boots the pool-backed serve sim and checks the
-// live observability surface: /statsz carries the pooled snapshot and
-// /metrics carries the engine's per-shard families with shard labels.
+// TestServePoolEndpoints boots the load sim over a 4-shard pool and
+// checks the live pool observability surface: /statsz carries the
+// pooled controller snapshot and /metrics carries the engine's
+// per-shard families with shard labels.
 func TestServePoolEndpoints(t *testing.T) {
-	cfg := serveTestConfig()
-	sim, err := newPoolServeSim(cfg, 4, 200, serveSampleCycles)
+	sim, err := newLoadSim(serveTestConfig(), "steady", 4, 4, 200, serveSampleCycles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,18 +356,18 @@ func TestServePoolEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /statsz: %s", resp.Status)
 	}
-	var got poolStatsz
+	var got statsz
 	if err := json.Unmarshal(body, &got); err != nil {
 		t.Fatalf("/statsz is not valid JSON: %v\n%s", err, body)
 	}
-	if got.Shards != 4 || got.Scheme != "thoth-wtsc" {
-		t.Errorf("statsz identity = %d shards / %s", got.Shards, got.Scheme)
+	if got.StatszLoad == nil || got.Shards != 4 || got.Scheme != "thoth-wtsc" {
+		t.Fatalf("statsz identity wrong, want 4 shards / thoth-wtsc:\n%s", body)
 	}
-	if got.Rounds != 1 || got.BlocksPersisted != 200 {
-		t.Errorf("rounds=%d blocks=%d, want 1/200", got.Rounds, got.BlocksPersisted)
+	if got.Rounds != 1 || got.Ops != 200 {
+		t.Errorf("rounds=%d ops=%d, want 1/200", got.Rounds, got.Ops)
 	}
 	if got.Cycle <= 0 || got.TotalWrites <= 0 {
-		t.Errorf("statsz progress not positive: cycle=%d writes=%d", got.Cycle, got.TotalWrites)
+		t.Errorf("statsz progress not positive: cycle=%d total_writes=%d", got.Cycle, got.TotalWrites)
 	}
 
 	resp, body = get(t, srv, "/metrics")
@@ -369,16 +390,18 @@ func TestServePoolEndpoints(t *testing.T) {
 	}
 }
 
-// TestRunServePoolCLI drives `thothsim serve -shards N` end to end.
+// TestRunServePoolCLI drives `thothsim serve -load steady -shards N`
+// end to end.
 func TestRunServePoolCLI(t *testing.T) {
 	var out, errw bytes.Buffer
 	code := run([]string{
-		"serve", "-addr", "127.0.0.1:0", "-shards", "2", "-rounds", "2", "-round", "100",
+		"serve", "-addr", "127.0.0.1:0", "-load", "steady", "-shards", "2",
+		"-rounds", "2", "-round", "100",
 	}, &out, &errw)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errw.String())
 	}
-	for _, want := range []string{"serving workload=pool(2 shards)", "completed 2 rounds"} {
+	for _, want := range []string{"serving workload=load(steady, 2 shards)", "completed 2 rounds (200 ops)"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output missing %q:\n%s", want, out.String())
 		}

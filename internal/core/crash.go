@@ -164,6 +164,7 @@ func (c *Controller) PrefillPUB() error {
 func (c *Controller) ResetStats() {
 	*c.st = stats.Stats{}
 	c.q.Coalesced, c.q.Inserted, c.q.StallCycles = 0, 0, 0
+	c.q.IssuedByAge, c.q.IssuedByWatermark, c.q.IssuedByStall = 0, 0, 0
 	if c.pcb != nil {
 		c.pcb.Merged, c.pcb.Inserted = 0, 0
 	}

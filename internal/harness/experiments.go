@@ -104,13 +104,15 @@ func key(rc RunConfig) string {
 
 // runConfig builds the standard RunConfig for a machine configuration.
 func (e *Experiments) runConfig(cfg config.Config, wl string) RunConfig {
+	if e.Tracer != nil {
+		cfg.Tracer = e.Tracer
+	}
 	return RunConfig{
 		Config:     cfg,
 		Workload:   wl,
 		WarmupTxs:  e.Scale.WarmupTxs,
 		MeasureTxs: e.Scale.MeasureTxs,
 		SetupKeys:  e.Scale.SetupKeys,
-		Tracer:     e.Tracer,
 	}
 }
 

@@ -14,8 +14,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/llc"
-	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/scheme"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -40,13 +38,6 @@ type RunConfig struct {
 	// SetupKeys overrides the benchmark population size (0 = the
 	// paper-scale default).
 	SetupKeys int
-	// Tracer, when non-nil, receives every controller event of the run
-	// (setup, warm-up and measurement alike). It overrides Config.Tracer.
-	Tracer obs.Tracer
-	// Metrics, when non-nil, receives the controller's native
-	// instrumentation (write critical-path cycles, PUB occupancy) for
-	// the whole run. It overrides Config.Metrics.
-	Metrics *metrics.Registry
 }
 
 // Result is the outcome of one run.
@@ -91,12 +82,6 @@ type Runner struct {
 // (each stream gets a disjoint heap slice and its own seed), mirroring
 // the paper's 4-core setup where every core executes the benchmark.
 func NewRunner(rc RunConfig) (*Runner, error) {
-	if rc.Tracer != nil {
-		rc.Config.Tracer = rc.Tracer
-	}
-	if rc.Metrics != nil {
-		rc.Config.Metrics = rc.Metrics
-	}
 	ctl, err := core.New(rc.Config)
 	if err != nil {
 		return nil, err
@@ -264,6 +249,23 @@ func (r *Runner) Setup() {
 	r.Fence()
 }
 
+// Warm runs the measurement protocol up to the measured phase: setup,
+// warmupTxs warm-up transactions, the PUB prefill to its eviction
+// threshold (schemes with a PUB, Section V-A) and the statistics reset.
+func (r *Runner) Warm(warmupTxs int) error {
+	r.Setup()
+	if warmupTxs > 0 {
+		r.RunTxs(warmupTxs)
+	}
+	if scheme.UsesPUB(r.cfg.Scheme) {
+		if err := r.ctl.PrefillPUB(); err != nil {
+			return fmt.Errorf("harness: prefill: %w", err)
+		}
+	}
+	r.ctl.ResetStats()
+	return nil
+}
+
 // RunTxs executes n transactions round-robin across the core streams.
 func (r *Runner) RunTxs(n int) {
 	for i := 0; i < n; i++ {
@@ -329,16 +331,9 @@ func Run(rc RunConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.Setup()
-	if rc.WarmupTxs > 0 {
-		r.RunTxs(rc.WarmupTxs)
+	if err := r.Warm(rc.WarmupTxs); err != nil {
+		return nil, err
 	}
-	if scheme.UsesPUB(rc.Config.Scheme) {
-		if err := r.ctl.PrefillPUB(); err != nil {
-			return nil, fmt.Errorf("harness: prefill: %w", err)
-		}
-	}
-	r.ctl.ResetStats()
 	h0, m0 := r.llc.Stats()
 	start := r.now
 

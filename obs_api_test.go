@@ -252,18 +252,18 @@ func TestRunConfigTracer(t *testing.T) {
 	cfg := testConfig(WTSC)
 	cfg.LLCBytes = 1 << 20
 	ring := NewTraceRing(1 << 16)
+	cfg.Tracer = ring
 	_, err := RunWorkload(RunConfig{
 		Config:     cfg,
 		Workload:   "swap",
 		MeasureTxs: 50,
 		SetupKeys:  64,
-		Tracer:     ring,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ring.Len() == 0 {
-		t.Fatal("RunConfig.Tracer received no events")
+		t.Fatal("RunConfig.Config.Tracer received no events")
 	}
 }
 

@@ -142,12 +142,12 @@ type Stats = stats.Stats
 // (StatsDelta) to measure intervals.
 type StatsSnapshot = stats.Stats
 
-// Tracing. Set Config.Tracer (or RunConfig.Tracer) to a Tracer and the
-// controller streams every notable internal event to it: PCB flushes,
-// PUB evictions with their Figure-3 outcome, counter overflows, WPQ
-// drains with their reason, metadata-cache evictions, tree updates, and
-// recovery merges. A nil tracer is free: the disabled path performs no
-// allocation and no call.
+// Tracing. Set Config.Tracer (RunConfig.Config.Tracer for a benchmark
+// run) to a Tracer and the controller streams every notable internal
+// event to it: PCB flushes, PUB evictions with their Figure-3 outcome,
+// counter overflows, WPQ drains with their reason, metadata-cache
+// evictions, tree updates, and recovery merges. A nil tracer is free:
+// the disabled path performs no allocation and no call.
 
 // Tracer receives controller events. Implementations must be cheap;
 // they run inline in the simulation loop.
