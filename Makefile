@@ -115,8 +115,10 @@ obs-smoke:
 # Prove the zero-allocation hot paths stay that way: the disabled-tracer
 # emit, the steady-state secure read, histogram Observe, the
 # tracer-to-metrics adapter, the span-attribution charge path (enabled
-# AND nil-span disabled), the flight recorder's Emit and the bit-field
-# codec's callers (PUB block pack/unpack, counter bump) must all report
+# AND nil-span disabled), the flight recorder's Emit, the bit-field
+# codec's callers (PUB block pack/unpack, counter bump) and the pool's
+# timed WriteArrive/ReadArrive (with and without a span, one or two
+# segments) must all report
 # 0 allocs/op (the matching Test*ZeroAlloc funcs assert the 0; the
 # benchmarks report it; the codec's per-op figures are the micro/pub_*
 # and micro/ctr_bump rows of bench-json).
@@ -126,6 +128,7 @@ bench-alloc:
 	$(GO) test ./internal/loadgen -run TestGenOpZeroAlloc -bench BenchmarkGenOp -benchtime 100000x
 	$(GO) test ./internal/obs -run 'TestSpanRecordZeroAlloc|TestSpanDisabledZeroAlloc|TestFlightEmitZeroAlloc' -bench BenchmarkSpanRecord -benchtime 100000x
 	$(GO) test ./internal/bitpack -run TestCodecZeroAlloc -count=1
+	$(GO) test ./internal/engine -run TestPoolArriveZeroAlloc -count=1
 
 # Benchmark-regression gate: re-measure the suite and compare against
 # the committed baseline (fails on >15% ns/op or ANY allocs/op

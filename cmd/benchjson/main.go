@@ -357,7 +357,7 @@ func benchPersistSerial(b *testing.B) {
 // benchPool measures the sharded engine's aggregate persist throughput:
 // one op is a 256-request batch of distinct hot blocks scattered across
 // every shard's groups (same geometry as persist_parallel_serial, so
-// pool_1shard vs persist_parallel_serial isolates the mailbox overhead
+// pool_1shard vs persist_parallel_serial isolates the routing overhead
 // and pool_4shard vs pool_1shard isolates multi-controller scaling).
 // On a multi-core host the 4-shard pool should sustain >= 2x the
 // 1-shard ops/sec; even time-slicing a single CPU the family shows an
@@ -506,8 +506,9 @@ func compare(baseline, fresh File) []string {
 		allocLimit := base.AllocsPerOp
 		switch {
 		case strings.HasPrefix(name, "micro/pool_"):
-			// The pool's per-batch mailbox requests are deterministic up
-			// to a stray goroutine-stack growth: allow max(1, 2%).
+			// The pool's per-batch routing slices and fan-out goroutines
+			// are deterministic up to a stray goroutine-stack growth:
+			// allow max(1, 2%).
 			allocLimit += max(1, base.AllocsPerOp/50)
 		case strings.HasPrefix(name, "figure/"):
 			// The figure/ family runs a whole simulation per op (tens of
@@ -522,8 +523,8 @@ func compare(baseline, fresh File) []string {
 				name, base.AllocsPerOp, got.AllocsPerOp, allocLimit))
 		}
 		tol := nsTolerance
-		// The pool family rides the scheduler (per-shard goroutines), so
-		// it gets the wider bound too.
+		// The pool family rides the scheduler (PersistBatch runs one
+		// goroutine per shard with work), so it gets the wider bound too.
 		if strings.HasPrefix(name, "figure/") || strings.HasPrefix(name, "recovery/") ||
 			strings.HasPrefix(name, "micro/pool_") {
 			tol = figureNsTolerance

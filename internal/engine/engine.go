@@ -13,12 +13,14 @@
 // identity — a one-shard Pool is byte-identical to a plain single
 // controller, the property the differential tests pin.
 //
-// Each shard runs one goroutine owning its controller, fed by a bounded
-// mailbox; front-end calls split a request at group boundaries, dispatch
-// the segments to their shards, and wait. The Pool is safe for
-// concurrent use by multiple goroutines (unlike a single System): the
-// mailboxes serialize each shard's stream while distinct shards proceed
-// in parallel.
+// Each shard is a controller behind a lock. Every pool operation runs on
+// the goroutine that calls it: front-end calls split a request at group
+// boundaries and run each segment on its shard while holding that
+// shard's lock. The Pool is safe for concurrent use by multiple
+// goroutines (unlike a single System): the locks serialize each shard's
+// stream in the order callers reach it, while callers on distinct shards
+// proceed in parallel. PersistBatch is the one fan-out: it persists each
+// shard's share of a batch concurrently.
 package engine
 
 import (
@@ -53,11 +55,6 @@ var (
 // footprint (caches, PUB) dwarfs any modeled parallelism.
 const MaxShards = 64
 
-// mailboxDepth is the bounded per-shard request queue. Deep enough to
-// keep a shard busy while the front-end fans out, shallow enough that a
-// stalled shard backpressures its producers quickly.
-const mailboxDepth = 64
-
 // WriteReq is one full-block write of a PersistBatch: a block-aligned
 // offset into the protected data region and exactly BlockSize bytes of
 // data. The slice is only read during the call.
@@ -66,65 +63,18 @@ type WriteReq struct {
 	Data []byte
 }
 
-// opKind selects a shard worker operation.
-type opKind uint8
-
-const (
-	opWrite opKind = iota
-	opRead
-	opBatch
-	opStats
-	opVerify
-	opCrash
-	opShutdown
-)
-
-// req is one unit of work mailed to a shard worker. The worker fills the
-// result fields and calls wg.Done; the Done/Wait pair publishes them to
-// the dispatcher (happens-before), so no further locking is needed.
-type req struct {
-	kind  opKind
-	shard int
-
-	addr int64  // local data-region offset on the shard
-	data []byte // write payload or read destination (caller-owned)
-
-	batch []core.WriteReq // opBatch: translated, DataBase-rebased requests
-
-	arrival int64 // opWrite / opRead: modeled arrival cycle of the op
-
-	// span, when non-nil on an opWrite / opRead request, receives the
-	// segment's per-stage latency attribution: the shard's port charges
-	// the mailbox wait (arrival → service start) to SpanQueue and the
-	// controller charges the service, so the segment's stage cycles sum
-	// exactly to done − arrival.
-	span *obs.Span
-
-	wg *sync.WaitGroup
-
-	// Results.
-	err    error
-	done   int64            // opWrite / opRead: completion cycle of the segment
-	stats  stats.Stats      // opStats
-	dev    *nvm.Device      // opCrash / opShutdown
-	flight obs.FlightRecord // opCrash / opShutdown: the shard's black box
-}
-
-// shard is one controller partition: a goroutine owning the port (the
-// controller and its modeled clock), reading requests from mail until
-// it is closed.
+// shard is one controller partition: the port (the controller and its
+// modeled clock) behind the lock that serializes the shard's ops.
 type shard struct {
 	idx  int
+	mu   sync.Mutex
 	port *core.Port
-	mail chan *req
-	done chan struct{}
 
 	// Per-shard observability, nil when the pool config carries no
 	// metrics registry.
 	mOps    *metrics.Counter
 	mBlocks *metrics.Counter
 	mCycles *metrics.Gauge
-	mMail   *metrics.Gauge
 }
 
 // Pool is the sharded multi-controller system over one logical data
@@ -165,16 +115,16 @@ func shardConfig(cfg config.Config, shards int) (config.Config, error) {
 	return scfg, nil
 }
 
-// newPool builds the pool skeleton and spins the shard workers; attach
-// constructs each shard's controller (fresh for New, image-attached for
-// Open).
+// newPool builds the pool and its shards; attach constructs each shard's
+// controller (fresh for New, image-attached for Open).
 func newPool(cfg config.Config, shards int, attach func(scfg config.Config, i int) (*core.Controller, error)) (*Pool, error) {
 	scfg, err := shardConfig(cfg, shards)
 	if err != nil {
 		return nil, err
 	}
 	if cfg.Tracer != nil {
-		// Shard workers emit concurrently; serialize for plain tracers.
+		// Callers on distinct shards emit concurrently; serialize for
+		// plain tracers.
 		lt := obs.Locked(cfg.Tracer)
 		cfg.Tracer = lt
 		scfg.Tracer = lt
@@ -203,12 +153,7 @@ func newPool(cfg config.Config, shards int, attach func(scfg config.Config, i in
 		if err != nil {
 			return nil, fmt.Errorf("engine: shard %d: %w", i, err)
 		}
-		sh := &shard{
-			idx:  i,
-			port: core.NewPort(ctl),
-			mail: make(chan *req, mailboxDepth),
-			done: make(chan struct{}),
-		}
+		sh := &shard{idx: i, port: core.NewPort(ctl)}
 		if cfg.Metrics != nil {
 			lbl := metrics.Label{Key: "shard", Value: strconv.Itoa(i)}
 			sh.mOps = cfg.Metrics.Counter("thoth_pool_shard_ops_total",
@@ -217,11 +162,8 @@ func newPool(cfg config.Config, shards int, attach func(scfg config.Config, i in
 				"Data blocks persisted by this pool shard.", lbl)
 			sh.mCycles = cfg.Metrics.Gauge("thoth_pool_shard_cycles",
 				"Modeled cycle clock of this pool shard.", lbl)
-			sh.mMail = cfg.Metrics.Gauge("thoth_pool_shard_mailbox_depth",
-				"Requests waiting in this pool shard's mailbox.", lbl)
 		}
 		p.shards[i] = sh
-		go sh.run()
 	}
 	return p, nil
 }
@@ -282,46 +224,11 @@ func (p *Pool) checkRange(addr int64, n int) error {
 	return nil
 }
 
-// dispatch mails the requests to their shards and waits for all of them,
-// joining errors in request order.
-func (p *Pool) dispatch(rs []*req) error {
-	var wg sync.WaitGroup
-	wg.Add(len(rs))
-	for _, r := range rs {
-		r.wg = &wg
-		p.shards[r.shard].mail <- r
-	}
-	wg.Wait()
-	var errs []error
-	for _, r := range rs {
-		if r.err != nil {
-			errs = append(errs, r.err)
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// segment splits the byte range [addr, addr+n) at group boundaries and
-// calls fn(shard, local, off, length) for each piece, where off is the
-// piece's offset within the range.
-func (p *Pool) segment(addr int64, n int, fn func(shard int, local, off, length int64)) {
-	for off := int64(0); off < int64(n); {
-		cur := addr + off
-		take := p.groupBytes - cur%p.groupBytes
-		if rem := int64(n) - off; take > rem {
-			take = rem
-		}
-		sh := int(cur / p.groupBytes % int64(p.n))
-		fn(sh, p.localOf(cur), off, take)
-		off += take
-	}
-}
-
 // Write persists data at the given pool offset: encrypted, MACed, bound
 // into the owning shard's integrity tree, crash-consistent per the
-// configured scheme. Segments on distinct shards persist concurrently;
-// each shard applies its segments in submission order. It is WriteArrive
-// at cycle 0, which never holds a shard clock back.
+// configured scheme. Each shard applies its segments in the order
+// callers reach it. It is WriteArrive at cycle 0, which never holds a
+// shard clock back.
 func (p *Pool) Write(addr int64, data []byte) error {
 	_, err := p.WriteArrive(0, addr, data, nil)
 	return err
@@ -344,9 +251,10 @@ func (p *Pool) Read(addr int64, n int) ([]byte, error) {
 }
 
 // PersistBatch persists a batch of full-block writes, scattering the
-// requests to their owning shards (each shard persists its share in
-// submission order). The batch is validated before any request
-// commits, so an invalid request leaves the pool untouched.
+// requests to their owning shards: each shard persists its share in
+// submission order, and distinct shards persist concurrently — the one
+// pool operation that fans out. The batch is validated before any
+// request commits, so an invalid request leaves the pool untouched.
 func (p *Pool) PersistBatch(reqs []WriteReq) error {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
@@ -371,22 +279,50 @@ func (p *Pool) PersistBatch(reqs []WriteReq) error {
 			Data: reqs[i].Data,
 		})
 	}
-	var rs []*req
-	for sh, creqs := range perShard {
-		if len(creqs) > 0 {
-			rs = append(rs, &req{kind: opBatch, shard: sh, batch: creqs})
+	// Shards with work persist their shares concurrently, the last one
+	// on the calling goroutine.
+	last := -1
+	for sh := range perShard {
+		if len(perShard[sh]) > 0 {
+			last = sh
 		}
 	}
-	return p.dispatch(rs)
+	errs := make([]error, p.n)
+	persist := func(sh int) {
+		s, creqs := p.shards[sh], perShard[sh]
+		errs[sh] = s.do(func(port *core.Port) error {
+			port.PersistBatch(creqs)
+			if s.mBlocks != nil {
+				s.mBlocks.Add(int64(len(creqs)))
+			}
+			return nil
+		})
+	}
+	var wg sync.WaitGroup
+	for sh := range last {
+		if len(perShard[sh]) > 0 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				persist(sh)
+			}()
+		}
+	}
+	persist(last)
+	wg.Wait()
+	return errors.Join(errs...)
 }
 
-// all builds one request of the given kind per shard.
-func (p *Pool) all(kind opKind) []*req {
-	rs := make([]*req, p.n)
-	for i := range rs {
-		rs[i] = &req{kind: kind, shard: i}
+// each runs fn on every shard in index order, each under its shard's
+// lock, and joins the errors in shard order.
+func (p *Pool) each(fn func(i int, port *core.Port) error) error {
+	var errs []error
+	for i, sh := range p.shards {
+		if err := sh.do(func(port *core.Port) error { return fn(i, port) }); err != nil {
+			errs = append(errs, err)
+		}
 	}
-	return rs
+	return errors.Join(errs...)
 }
 
 // Stats returns the pooled statistics: the counter-wise sum of every
@@ -398,17 +334,16 @@ func (p *Pool) Stats() (stats.Stats, error) {
 	if p.crashed {
 		return stats.Stats{}, ErrCrashed
 	}
-	rs := p.all(opStats)
-	if err := p.dispatch(rs); err != nil {
-		return stats.Stats{}, err
-	}
 	var pooled stats.Stats
 	var makespan int64
-	for _, r := range rs {
-		if r.stats.Cycles > makespan {
-			makespan = r.stats.Cycles
-		}
-		pooled = pooled.Add(r.stats)
+	err := p.each(func(_ int, port *core.Port) error {
+		st := port.Stats()
+		makespan = max(makespan, st.Cycles)
+		pooled = pooled.Add(st)
+		return nil
+	})
+	if err != nil {
+		return stats.Stats{}, err
 	}
 	pooled.Cycles = makespan
 	return pooled, nil
@@ -425,11 +360,12 @@ func (p *Pool) ShardStats(i int) (stats.Stats, error) {
 	if i < 0 || i >= p.n {
 		return stats.Stats{}, fmt.Errorf("engine: shard %d not in [0,%d)", i, p.n)
 	}
-	r := &req{kind: opStats, shard: i}
-	if err := p.dispatch([]*req{r}); err != nil {
-		return stats.Stats{}, err
-	}
-	return r.stats, nil
+	var st stats.Stats
+	err := p.shards[i].do(func(port *core.Port) error {
+		st = port.Stats()
+		return nil
+	})
+	return st, err
 }
 
 // Elapsed returns the pool's modeled makespan in cycles: the maximum
@@ -456,7 +392,9 @@ func (p *Pool) VerifyCrashConsistency() error {
 	if p.crashed {
 		return ErrCrashed
 	}
-	return p.dispatch(p.all(opVerify))
+	return p.each(func(_ int, port *core.Port) error {
+		return port.Controller().VerifyCrashConsistency()
+	})
 }
 
 // CrashShards models a partial power failure: shards with crash[i] true
@@ -474,37 +412,30 @@ func (p *Pool) CrashShards(crash []bool) (*PoolImage, error) {
 	if p.crashed {
 		return nil, ErrCrashed
 	}
-	rs := make([]*req, p.n)
-	for i := range rs {
-		kind := opShutdown
-		if crash[i] {
-			kind = opCrash
-		}
-		rs[i] = &req{kind: kind, shard: i}
-	}
-	var wg sync.WaitGroup
-	wg.Add(len(rs))
-	for _, r := range rs {
-		r.wg = &wg
-		p.shards[r.shard].mail <- r
-	}
-	wg.Wait()
 	img := &PoolImage{
 		Shards:  p.n,
 		Crashed: append([]bool(nil), crash...),
 		Devices: make([]*nvm.Device, p.n),
 		Flights: make([]obs.FlightRecord, p.n),
 	}
-	var errs []error
-	for i, r := range rs {
-		img.Devices[i] = r.dev
-		img.Flights[i] = r.flight
-		if r.err != nil {
-			errs = append(errs, fmt.Errorf("shard %d: %w", i, r.err))
+	err := p.each(func(i int, port *core.Port) error {
+		var err error
+		if crash[i] {
+			err = port.Crash()
+		} else {
+			err = port.Shutdown()
 		}
-	}
-	p.stop()
-	return img, errors.Join(errs...)
+		img.Devices[i] = port.Controller().Device()
+		// Snapshot after the crash so the black box includes the ADR
+		// flush events of the crash sequence itself.
+		img.Flights[i] = port.Controller().FlightRecord()
+		if err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+		return nil
+	})
+	p.crashed = true
+	return img, err
 }
 
 // Crash crashes every shard: a whole-pool power failure.
@@ -522,72 +453,24 @@ func (p *Pool) Shutdown() (*PoolImage, error) {
 	return p.CrashShards(make([]bool, p.n))
 }
 
-// stop closes the mailboxes and joins the workers. Callers hold p.mu.
-func (p *Pool) stop() {
-	p.crashed = true
-	for _, sh := range p.shards {
-		close(sh.mail)
-	}
-	for _, sh := range p.shards {
-		<-sh.done
-	}
-}
-
-// run is the shard worker loop: it owns the controller and the modeled
-// clock exclusively, so the op handlers below need no locking.
-func (s *shard) run() {
-	defer close(s.done)
-	for r := range s.mail {
-		s.handle(r)
-	}
-}
-
-// handle executes one request, converting panics (bad geometry, device
-// range violations) into errors so one poisoned request cannot take the
-// whole pool down.
-func (s *shard) handle(r *req) {
-	defer r.wg.Done()
+// do runs fn on the calling goroutine under the shard lock, counting the
+// op and publishing the shard clock. A panic in fn (bad geometry, device
+// range violations) comes back as an error and the deferred unlock
+// releases the shard, so one poisoned op cannot take the pool down.
+func (s *shard) do(fn func(port *core.Port) error) (err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	defer func() {
 		if v := recover(); v != nil {
-			r.err = fmt.Errorf("engine: shard %d: panic: %v", s.idx, v)
+			err = fmt.Errorf("engine: shard %d: panic: %v", s.idx, v)
 		}
 	}()
 	if s.mOps != nil {
 		s.mOps.Inc()
 	}
-	if s.mMail != nil {
-		s.mMail.Set(int64(len(s.mail)))
-	}
-	switch r.kind {
-	case opWrite:
-		r.done, r.err = s.port.Write(r.arrival, r.addr, r.data, r.span)
-		if s.mBlocks != nil {
-			bs := int64(s.port.BlockSize())
-			s.mBlocks.Add((r.addr+int64(len(r.data))+bs-1)/bs - r.addr/bs)
-		}
-	case opRead:
-		r.done, r.err = s.port.Read(r.arrival, r.addr, r.data, r.span)
-	case opBatch:
-		s.port.PersistBatch(r.batch)
-		if s.mBlocks != nil {
-			s.mBlocks.Add(int64(len(r.batch)))
-		}
-	case opStats:
-		r.stats = s.port.Stats()
-	case opVerify:
-		r.err = s.port.Controller().VerifyCrashConsistency()
-	case opCrash:
-		r.err = s.port.Crash()
-		r.dev = s.port.Controller().Device()
-		// Snapshot after the crash so the black box includes the ADR
-		// flush events of the crash sequence itself.
-		r.flight = s.port.Controller().FlightRecord()
-	case opShutdown:
-		r.err = s.port.Shutdown()
-		r.dev = s.port.Controller().Device()
-		r.flight = s.port.Controller().FlightRecord()
-	}
+	err = fn(s.port)
 	if s.mCycles != nil {
 		s.mCycles.Set(s.port.Now())
 	}
+	return err
 }

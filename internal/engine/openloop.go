@@ -12,8 +12,10 @@ package engine
 // multiple metadata groups complete when their last segment does.
 
 import (
+	"errors"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -27,19 +29,22 @@ import (
 // stage cycles sum exactly to completion − arrival. A nil span costs
 // nothing (no charging, no allocation).
 func (p *Pool) WriteArrive(arrival, addr int64, data []byte, span *obs.Span) (int64, error) {
-	return p.arrive(opWrite, arrival, addr, data, span)
+	return p.arrive(true, arrival, addr, data, span)
 }
 
 // ReadArrive fills dst from the given pool offset, modeling the op as
 // arriving at the given cycle; see WriteArrive for the completion and
 // span semantics.
 func (p *Pool) ReadArrive(arrival, addr int64, dst []byte, span *obs.Span) (int64, error) {
-	return p.arrive(opRead, arrival, addr, dst, span)
+	return p.arrive(false, arrival, addr, dst, span)
 }
 
-// arrive splits one timed op at group boundaries, mails the segments to
-// their shards, and settles the completion cycle and span.
-func (p *Pool) arrive(kind opKind, arrival, addr int64, buf []byte, span *obs.Span) (int64, error) {
+// arrive splits one timed op at group boundaries and runs the segments
+// in address order, each on its shard, then settles the completion cycle
+// and span. Every segment charges the caller's span (the port resets it
+// first); the critical segment's decomposition — the latest completion,
+// the first one on a tie — is kept on the stack and left in the span.
+func (p *Pool) arrive(write bool, arrival, addr int64, buf []byte, span *obs.Span) (int64, error) {
 	if arrival < 0 {
 		return 0, fmt.Errorf("engine: negative arrival cycle %d", arrival)
 	}
@@ -48,61 +53,51 @@ func (p *Pool) arrive(kind opKind, arrival, addr int64, buf []byte, span *obs.Sp
 	if err := p.checkRange(addr, len(buf)); err != nil {
 		return 0, err
 	}
-	var rs []*req
-	p.segment(addr, len(buf), func(sh int, local, off, length int64) {
-		rs = append(rs, &req{kind: kind, shard: sh, arrival: arrival,
-			addr: local, data: buf[off : off+length]})
-	})
-	attachSpans(rs, span)
-	if err := p.dispatch(rs); err != nil {
+	var (
+		done int64
+		crit obs.Span
+		errs []error
+	)
+	for off, n := int64(0), int64(len(buf)); off < n; {
+		cur := addr + off
+		take := min(p.groupBytes-cur%p.groupBytes, n-off)
+		sh, local := p.locate(cur)
+		d, err := p.shards[sh].access(write, arrival, local, buf[off:off+take], span)
+		if err != nil {
+			errs = append(errs, err)
+		}
+		if off == 0 || d > done {
+			done = d
+			if span != nil {
+				crit = *span
+			}
+		}
+		off += take
+	}
+	if err := errors.Join(errs...); err != nil {
 		return 0, err
 	}
-	return settleSpans(rs, span), nil
+	if span != nil && len(buf) > 0 {
+		*span = crit
+	}
+	return done, nil
 }
 
-// attachSpans wires the caller's span into a dispatched request set. A
-// single-segment op charges the caller's span directly (no allocation —
-// the common case for block-granular load; the shard's port resets it);
-// a multi-segment op gives each segment a private span so the critical
-// segment's decomposition can be selected afterwards.
-func attachSpans(rs []*req, span *obs.Span) {
-	if span == nil {
-		return
-	}
-	if len(rs) == 1 {
-		rs[0].span = span
-		return
-	}
-	for _, r := range rs {
-		r.span = new(obs.Span)
-	}
-}
-
-// settleSpans returns the op's completion cycle and, for multi-segment
-// ops with attribution, copies the critical (latest-finishing) segment's
-// stage decomposition into the caller's span. The WaitGroup in dispatch
-// ordered every shard's writes before this read.
-func settleSpans(rs []*req, span *obs.Span) int64 {
-	done := maxDone(rs)
-	if span == nil || len(rs) == 1 {
-		return done
-	}
-	for _, r := range rs {
-		if r.done == done {
-			*span = *r.span
-			break
+// access runs one timed segment on the shard: a write of buf, or a read
+// into it, at local data-region offset addr.
+func (s *shard) access(write bool, arrival, addr int64, buf []byte, span *obs.Span) (done int64, err error) {
+	err = s.do(func(port *core.Port) error {
+		var err error
+		if !write {
+			done, err = port.Read(arrival, addr, buf, span)
+			return err
 		}
-	}
-	return done
-}
-
-// maxDone returns the latest segment completion of a dispatched set.
-func maxDone(rs []*req) int64 {
-	var done int64
-	for _, r := range rs {
-		if r.done > done {
-			done = r.done
+		done, err = port.Write(arrival, addr, buf, span)
+		if s.mBlocks != nil {
+			bs := int64(port.BlockSize())
+			s.mBlocks.Add((addr+int64(len(buf))+bs-1)/bs - addr/bs)
 		}
-	}
-	return done
+		return err
+	})
+	return done, err
 }

@@ -10,6 +10,7 @@ package harness
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/config"
 	"repro/internal/core"
@@ -296,11 +297,18 @@ func (r *Runner) Crash() error {
 	return r.ctl.Crash(r.now)
 }
 
-// VerifyAll re-reads every persisted block and compares against the
-// plaintext model. It returns the number of verified blocks.
+// VerifyAll re-reads every persisted block, in ascending address order
+// so the controller state and clock it leaves are reproducible, and
+// compares against the plaintext model. It returns the number of
+// verified blocks.
 func (r *Runner) VerifyAll() (int, error) {
-	n := 0
+	addrs := make([]int64, 0, len(r.persisted))
 	for addr := range r.persisted {
+		addrs = append(addrs, addr)
+	}
+	slices.Sort(addrs)
+	n := 0
+	for _, addr := range addrs {
 		// The LLC may hold a dirtier version than NVM; only blocks whose
 		// newest version was persisted are checked against the device.
 		if r.llc.CLWB(addr) {

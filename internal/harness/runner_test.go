@@ -64,6 +64,28 @@ func TestRunVerifies(t *testing.T) {
 	}
 }
 
+// TestVerifyDeterministic: two identical runs with Verify leave equal
+// controller statistics and equal runner clocks, because VerifyAll
+// visits the persisted blocks in a fixed order.
+func TestVerifyDeterministic(t *testing.T) {
+	rc := RunConfig{
+		Config:     simConfig(config.ThothWTSC),
+		Workload:   "btree",
+		WarmupTxs:  50,
+		MeasureTxs: 150,
+		Verify:     true,
+	}
+	a, b := run(t, rc), run(t, rc)
+	a.Controller.SyncStats()
+	b.Controller.SyncStats()
+	if sa, sb := *a.Controller.Stats(), *b.Controller.Stats(); sa != sb {
+		t.Errorf("controller stats differ after verify:\n%+v\n%+v", sa, sb)
+	}
+	if ca, cb := a.Runner.Now(), b.Runner.Now(); ca != cb {
+		t.Errorf("runner clocks differ after verify: %d vs %d", ca, cb)
+	}
+}
+
 func TestRunRejectsBadInput(t *testing.T) {
 	if _, err := Run(RunConfig{Config: simConfig(config.ThothWTSC), Workload: "btree"}); err == nil {
 		t.Error("zero MeasureTxs must error")

@@ -86,8 +86,8 @@ func (t *PoolTarget) BlockSize() int { return t.pool.BlockSize() }
 // DataSize returns the pooled protected data region in bytes.
 func (t *PoolTarget) DataSize() int64 { return t.pool.DataSize() }
 
-// WriteSpan persists data arriving at the given cycle: the shard
-// mailbox wait of the op's critical segment lands in SpanQueue and the
+// WriteSpan persists data arriving at the given cycle: the modeled
+// shard backlog of the op's critical segment lands in SpanQueue and the
 // owning controller charges the service stages; see engine's
 // WriteArrive for the multi-segment semantics.
 func (t *PoolTarget) WriteSpan(arrival, addr int64, data []byte, span *obs.Span) (int64, error) {

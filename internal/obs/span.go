@@ -52,9 +52,9 @@ func (s *Span) Total() int64 {
 type Stage uint8
 
 const (
-	// SpanQueue: arrival → service start. For a plain controller this
-	// is the front-end clock wait; for a sharded pool it is the shard
-	// mailbox wait (the op sat queued behind earlier ops).
+	// SpanQueue: arrival → service start: the op sat queued behind the
+	// modeled backlog of earlier ops on its controller, or on its shard
+	// for a sharded pool.
 	SpanQueue Stage = iota
 	// SpanFetch: demand fetches of the counter block, MAC block, and
 	// (for reads) the data block from NVM or the metadata caches.

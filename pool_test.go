@@ -211,10 +211,32 @@ func TestPoolCrashSubsetRecover(t *testing.T) {
 	}
 }
 
+// TestPoolNoShardGoroutines: shard ops run on the calling goroutine, so
+// building a pool starts no goroutines and a pool that is never shut
+// down leaks none.
+func TestPoolNoShardGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	pool, err := NewPool(poolConfig(), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("NewPool(cfg, 16): %d goroutines, was %d", after, before)
+	}
+	if err := pool.Write(0, make([]byte, pool.BlockSize())); err != nil {
+		t.Fatal(err)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("after a write: %d goroutines, was %d", after, before)
+	}
+}
+
 // TestPoolConcurrentClients hammers a pool from many goroutines —
 // overlapping reads, disjoint writes, stats polls — and verifies every
 // writer's blocks read back intact. Run under -race this also pins the
-// mailbox/worker memory discipline.
+// per-shard lock discipline. Besides the single-block clients, spanning
+// clients write ranges that straddle two metadata groups, so one op
+// takes two shard locks in turn while other clients contend for both.
 func TestPoolConcurrentClients(t *testing.T) {
 	cfg := poolConfig()
 	pool, err := NewPool(cfg, 4)
@@ -226,6 +248,9 @@ func TestPoolConcurrentClients(t *testing.T) {
 	blocks := pool.DataSize() / bs
 	const clients = 8
 	const perClient = 64
+	const spanning = 4
+	group := pool.GroupBytes()
+	groups := pool.DataSize() / group
 
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
@@ -236,6 +261,9 @@ func TestPoolConcurrentClients(t *testing.T) {
 			for i := 0; i < perClient; i++ {
 				// Each client owns the blocks congruent to it mod clients.
 				blk := (int64(rng.next()%uint64(blocks))/clients*clients + int64(c)) % blocks * bs
+				if off := blk % group; off == 0 || off == group-bs {
+					continue // a group's edge blocks belong to the spanning clients
+				}
 				data := make([]byte, bs)
 				for j := range data {
 					data[j] = byte(c)
@@ -258,6 +286,38 @@ func TestPoolConcurrentClients(t *testing.T) {
 						t.Errorf("client %d: stats: %v", c, err)
 						return
 					}
+				}
+			}
+		}(c)
+	}
+	for c := 0; c < spanning; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			rng := splitmix(2000 + c)
+			for i := 0; i < perClient; i++ {
+				// Each spanning client owns the last block of the groups
+				// congruent to it mod spanning and the first block of the
+				// next group — blocks the single-block clients never touch
+				// — and writes the two as one range across the boundary.
+				g := int64(rng.next()%uint64((groups-1)/spanning))*spanning + int64(c)
+				addr := (g+1)*group - bs
+				data := make([]byte, 2*bs)
+				for j := range data {
+					data[j] = byte(100 + c + j)
+				}
+				if err := pool.Write(addr, data); err != nil {
+					t.Errorf("spanning client %d: write: %v", c, err)
+					return
+				}
+				got, err := pool.Read(addr, len(data))
+				if err != nil {
+					t.Errorf("spanning client %d: read: %v", c, err)
+					return
+				}
+				if !bytes.Equal(got, data) {
+					t.Errorf("spanning client %d: range at %d corrupted", c, addr)
+					return
 				}
 			}
 		}(c)

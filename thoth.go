@@ -621,9 +621,10 @@ func WorkloadNames() []string {
 // slice — and routes requests by metadata group (lcm(BlocksPerPage,
 // MACsPerBlock) consecutive blocks, the unit the parallel recovery
 // engine proved safe to shard). Unlike a System, a Pool is safe for
-// concurrent use: per-shard goroutines serialize each shard's stream
-// behind bounded mailboxes while distinct shards run in parallel. A
-// one-shard Pool is byte-identical to a System over the same config.
+// concurrent use: each op runs on the calling goroutine under its
+// shard's lock, which serializes each shard's stream while callers on
+// distinct shards run in parallel. A one-shard Pool is byte-identical
+// to a System over the same config.
 
 // Pool is the sharded multi-controller system. Construct with NewPool,
 // or OpenPool for an existing image.
